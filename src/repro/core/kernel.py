@@ -5,9 +5,9 @@ bound to the dataset, a permutation generator forwarded to a chunk
 ``[start, start + count)``, and the observed significance ordering, it
 accumulates the two count vectors the maxT p-values are built from.
 
-The counts are plain sums over permutations, so per-rank results combine by
-elementwise addition — the reduction the master performs in Step 5 of the
-paper's parallel algorithm.
+The counts are plain sums over permutations, so per-block results combine
+by elementwise addition — how the master folds every rank's contribution
+into the world totals (Steps 4–5 of the paper's parallel algorithm).
 
 Permutations are processed in batches (default 64): the generator emits a
 ``(nb, width)`` encoding block, the statistic scores it with a handful of

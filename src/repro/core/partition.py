@@ -35,6 +35,7 @@ __all__ = [
     "Block",
     "carve_blocks",
     "plan_initial_runs",
+    "block_plan",
 ]
 
 
@@ -192,3 +193,25 @@ def plan_initial_runs(nblocks: int, nranks: int) -> tuple[range, ...]:
         runs.append(range(at, at + take))
         at += take
     return tuple(runs)
+
+
+def block_plan(start: int, stop: int, nranks: int,
+               block_size: int | None = None
+               ) -> tuple[tuple[Block, ...], tuple[range, ...]]:
+    """The blocks and per-rank initial runs one pmaxT job executes.
+
+    ``block_size=None`` is the static plan, the Figure-2 partition of
+    ``[start, stop)``: rank ``r``'s chunk is block ``r``, alone in its
+    initial run, and no block is left to steal.  With fewer permutations
+    than ranks the trailing ranks own empty chunks, so they get no block
+    and an empty run.  Otherwise the range is carved into ``block_size``
+    blocks with short initial runs, and the rest form the steal pool.
+    """
+    if block_size is not None:
+        blocks = carve_blocks(start, stop, block_size)
+        return blocks, plan_initial_runs(len(blocks), nranks)
+    plan = partition_permutations(stop - start, nranks)
+    blocks = tuple(Block(bid=c.rank, start=start + c.start, count=c.count)
+                   for c in plan.chunks if c.count > 0)
+    runs = tuple(range(r, min(r + 1, len(blocks))) for r in range(nranks))
+    return blocks, runs

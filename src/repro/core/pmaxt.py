@@ -12,11 +12,14 @@ Implements the six steps of the paper's Section 3.2 on top of the
 * **Step 3** — the input matrix and class labels are broadcast and
   transformed to the layout the kernel expects, and a global sum confirms
   every rank finished allocation (``create data``).
-* **Step 4** — every rank computes its permutation chunk from the shared
-  partition plan, forwards its generator, and runs the kernel
-  (``main kernel``).
-* **Step 5** — the master reduces the partial counts and computes the raw
-  and adjusted p-values (``compute p-values``).
+* **Step 4** — every rank runs the job's *block plan* through one
+  executor (:mod:`repro.core.steal`): the static plan gives each rank its
+  Figure-2 chunk as a single block, the steal plan carves the range into
+  small blocks that finished ranks steal.  Each rank's counts ride the
+  executor's messages to the master, and its block ledger audits the
+  cover (``main kernel``).
+* **Step 5** — the master computes the raw and adjusted p-values from the
+  world-total counts it already holds (``compute p-values``).
 * **Step 6** — buffers are released (Python's GC makes this implicit).
 
 The five timed sections correspond one-to-one to the columns of the paper's
@@ -33,12 +36,13 @@ Execution backends
 ------------------
 
 :func:`pmaxT` is substrate-agnostic: the data broadcast uses the
-communicator's ``bcast_array`` and the count reduction ``reduce_array``,
-so each backend moves arrays its own best way (shared address space for
-``serial``/``threads``, pickled queues for ``processes``, zero-copy
-shared-memory segments for ``shm``).  Callers pick the substrate either by
-running their own SPMD world and passing ``comm=``, or — the convenience
-path — by naming a registered backend::
+communicator's ``bcast_array``, so each backend moves arrays its own best
+way (shared address space for ``serial``/``threads``, pickled queues for
+``processes``, zero-copy shared-memory segments for ``shm``), and the
+block executor needs point-to-point ``send``/``recv`` plus any-source
+``recv_any``/``poll_any`` in multi-rank worlds.  Callers pick the
+substrate either by running their own SPMD world and passing ``comm=``,
+or — the convenience path — by naming a registered backend::
 
     result = pmaxT(X, labels, B=10_000, backend="shm", ranks=8)
 
@@ -73,7 +77,7 @@ from .kernel import (
     run_kernel,
 )
 from .options import MaxTOptions, build_generator, build_statistic, validate_options
-from .partition import carve_blocks, partition_permutations, plan_initial_runs
+from .partition import block_plan
 from .profile import SectionProfile, SectionTimer
 from .result import MaxTResult
 from .steal import (
@@ -153,23 +157,25 @@ _STEAL_EPOCH = itertools.count(1)
 
 def _resolve_schedule(schedule: str, steal_block: int | None,
                       options: MaxTOptions, checkpoint_dir: str | None,
-                      world_size: int) -> tuple | None:
-    """Master-side schedule resolution (Step 1).
+                      world_size: int) -> tuple:
+    """Master-side plan choice (Step 1): ``(block_size, tag)``.
 
-    Returns ``None`` for the static Figure-2 plan or ``(block_size, tag)``
-    for the work-stealing schedule.  ``auto`` steals whenever it can:
-    multi-rank world, no stored permutations (stored mode materialises one
-    contiguous slice per rank) and no checkpointing (checkpoints assume the
-    static contiguous chunk).  The counts are bit-identical either way —
-    the schedule decides who computes each block, never what is computed.
+    ``block_size`` is ``None`` for the static Figure-2 plan, else the
+    steal plan's block size; ``tag`` is the job's point-to-point tag.
+    ``auto`` steals whenever it can: a multi-rank world, no stored
+    permutations (stored mode materialises one contiguous slice per
+    rank) and no checkpointing (one checkpoint file per chunk).  The
+    counts are bit-identical either way — the plan decides who computes
+    each block, never what is computed.
     """
     if schedule not in ("auto", "static", "steal"):
         raise OptionError(
             f"schedule must be 'auto', 'static' or 'steal', got {schedule!r}")
     if steal_block is not None and int(steal_block) < 1:
         raise OptionError(f"steal_block must be >= 1, got {steal_block}")
+    tag = STEAL_TAG_BASE + next(_STEAL_EPOCH) % 0x100000
     if schedule == "static":
-        return None
+        return (None, tag)
     blocked = []
     if options.store:
         blocked.append("stored permutations")
@@ -181,10 +187,9 @@ def _resolve_schedule(schedule: str, steal_block: int | None,
         if schedule == "steal":
             raise OptionError(
                 f"schedule='steal' is incompatible with {', '.join(blocked)}")
-        return None
+        return (None, tag)
     block_size = int(steal_block) if steal_block is not None \
         else DEFAULT_STEAL_BLOCK
-    tag = STEAL_TAG_BASE + next(_STEAL_EPOCH) % 0x100000
     return (block_size, tag)
 
 
@@ -270,15 +275,17 @@ def pmaxT(
     :class:`~repro.errors.CommunicatorError` and, under a session, tears
     the worker pool down for respawn); ignored with ``comm=``.
 
-    ``schedule`` selects the permutation dispatch: ``"static"`` is the
-    paper's Figure-2 plan (one contiguous range per rank, fixed up
-    front), ``"steal"`` the block-granular work-stealing scheduler
-    (finished ranks steal blocks from stragglers via the master), and
+    ``schedule`` selects the block plan the executor runs: ``"static"``
+    is the paper's Figure-2 plan (one contiguous chunk per rank, fixed up
+    front, nothing to steal), ``"steal"`` carves the range into small
+    blocks that finished ranks steal from stragglers via the master, and
     ``"auto"`` (default) steals whenever the job allows it — multi-rank,
-    no stored permutations, no checkpointing.  Results are bit-identical
-    across schedules; ``steal_block`` tunes the permutations-per-block
-    granularity (default 256).  Neither knob enters the result-cache
-    key, for exactly that reason.
+    no stored permutations, no checkpointing.  Both plans run on the same
+    executor, so a worker that dies mid-job under a session is recovered
+    either way (its blocks are requeued, only that rank is respawned).
+    Results are bit-identical across schedules; ``steal_block`` tunes the
+    permutations-per-block granularity (default 256).  Neither knob
+    enters the result-cache key, for exactly that reason.
 
     ``engine`` picks the array-module compute engine for the hot path
     (see :mod:`repro.accel`): ``"auto"`` (default) resolves to the best
@@ -548,40 +555,71 @@ def _resident_workspace(stat, chunk_size: int, engine=None,
     return workspace
 
 
-def _steal_kernel(comm, options: MaxTOptions, labels, stat, observed,
-                  range_start: int, range_stop: int,
-                  steal_spec: tuple) -> KernelCounts | None:
-    """Steps 4+5 under the work-stealing schedule.
+def _run_blocks(comm, options: MaxTOptions, data, labels, stat, observed,
+                range_start: int, range_stop: int, plan: tuple,
+                checkpoint_dir: str | None,
+                checkpoint_interval: int) -> KernelCounts | None:
+    """Step 4: run this job's block plan on every rank.
 
-    Carves ``[range_start, range_stop)`` into blocks, runs the steal
+    Builds the plan over ``[range_start, range_stop)`` (static or steal,
+    see :func:`~repro.core.partition.block_plan`), runs the block
     protocol (:mod:`repro.core.steal`) and returns the world-total counts
-    on the master (``None`` on workers).  Block contributions are int64
-    count sums, so the dynamic assignment and out-of-order accumulation
-    are bit-identical to the static plan — the invariant the golden tests
-    pin across schedules and skew patterns.
+    on the master (``None`` on workers); the counts travel on the
+    protocol's messages.  They are int64 count sums, so any block-to-rank
+    assignment and accumulation order is bit-identical — the invariant
+    the golden tests pin across schedules and skew patterns.
     """
     from ..mpi.blasctl import apply_elastic_cap, get_blas_threads, set_blas_threads
     from ..mpi.processes import ProcessComm
 
-    block_size, tag = steal_spec
-    blocks = carve_blocks(range_start, range_stop, block_size)
-    runs = plan_initial_runs(len(blocks), comm.size)
-    generator = build_generator(options, labels)
+    block_size, tag = plan
+    blocks, runs = block_plan(range_start, range_stop, comm.size, block_size)
+    # Stored mode materialises each block's own slice; the other
+    # generators seek to any permutation index, so one serves every block.
+    generator = None if options.store else build_generator(options, labels)
     ops = _resolve_run_engine(options)
     engine_batch = options.engine_batch or None
-    workspace = _resident_workspace(stat, options.chunk_size, engine=ops,
-                                    engine_batch=engine_batch)
+    # Under a session, each rank owns a resident KernelWorkspace that
+    # survives across pmaxT calls (counts are bit-identical with or
+    # without one — pinned by tests).  The checkpoint driver manages its
+    # own workspace, so nothing is parked in the cache on that path.
+    workspace = None if checkpoint_dir is not None else _resident_workspace(
+        stat, options.chunk_size, engine=ops, engine_batch=engine_batch)
     delay = injected_delay(comm.rank)
 
     def compute_block(block):
-        counts = run_kernel(
-            stat, generator, observed, options.side,
-            start=block.start, count=block.count,
-            chunk_size=options.chunk_size,
-            first_is_observed=(block.start == 0),
-            workspace=workspace,
-            engine=ops, engine_batch=engine_batch,
-        )
+        if options.store:
+            # The stored generator replays its slice with local indices.
+            gen = build_generator(options, labels,
+                                  store_slice=(block.start, block.count))
+            start = 0
+        else:
+            gen, start = generator, block.start
+        kernel_args = dict(start=start, count=block.count,
+                           chunk_size=options.chunk_size,
+                           first_is_observed=(block.start == 0),
+                           engine=ops, engine_batch=engine_batch)
+        if checkpoint_dir is None:
+            counts = run_kernel(stat, gen, observed, options.side,
+                                workspace=workspace, **kernel_args)
+        else:
+            from .checkpoint import (
+                CheckpointStore,
+                problem_fingerprint,
+                run_kernel_resumable,
+            )
+
+            # Checkpointed runs use the static plan, where block ``r`` is
+            # rank ``r``'s Figure-2 chunk: the file is ``rank<r>.npz``
+            # whichever rank computes it, so a survivor that takes over a
+            # dead rank's chunk resumes its progress.
+            store = CheckpointStore(checkpoint_dir, rank=block.bid)
+            counts = run_kernel_resumable(
+                stat, gen, observed, options.side, store=store,
+                fingerprint=problem_fingerprint(
+                    data, labels, options, block.start, block.count),
+                interval=checkpoint_interval, **kernel_args)
+            store.clear()
         if delay > 0:
             time.sleep(delay * block.count)
         return counts
@@ -617,14 +655,15 @@ def _steal_kernel(comm, options: MaxTOptions, labels, stat, observed,
 
     try:
         if comm.is_master:
+            # Sub-block polling only under a steal plan: a stored slice or
+            # a checkpointed chunk is always computed by one call.
             acc, ledger, stats = run_steal_master(
                 comm, blocks, runs, compute_block, merge, tag=tag,
-                recap=recap, poll_unit=options.chunk_size)
-            # The coverage audit replacing the static path's reduced
-            # permutation accounting check.
+                recap=recap,
+                poll_unit=None if block_size is None else options.chunk_size)
             ledger.assert_exact_cover(range_start, range_stop)
             on_stats = getattr(comm, "_on_steal_stats", None)
-            if on_stats is not None:
+            if on_stats is not None and block_size is not None:
                 on_stats(stats)
             return acc
         run_steal_worker(comm, blocks, runs[comm.rank], compute_block,
@@ -708,9 +747,10 @@ def _pmaxt_run(
     and a re-run of the identical call resumes from the last checkpoint
     instead of restarting its chunk — see :mod:`repro.core.checkpoint`.
 
-    The output is **identical to the serial output** for any rank count:
-    the permutation partition (Figure 2 of the paper) together with the
-    skippable generators reproduces the serial permutation sequence exactly.
+    The output is **identical to the serial output** for any rank count
+    and schedule: every block plan tiles the permutation range exactly
+    (the master's ledger checks it), and the skippable generators
+    reproduce the serial permutation sequence for any block.
     """
     if backend is not None or ranks is not None or session is not None:
         from ..mpi.backends import launch_master
@@ -799,14 +839,14 @@ def _pmaxt_run(
                     data, route = handle.resolve(
                         options.dtype,
                         options.na if options.dtype == "float32" else None)
-            steal_spec = _resolve_schedule(schedule, steal_block, options,
-                                           checkpoint_dir, comm.size)
+            plan = _resolve_schedule(schedule, steal_block, options,
+                                     checkpoint_dir, comm.size)
             payload = (_pack_options(options), route, perm_range,
-                       bool(return_counts), steal_spec, pre_ranked)
+                       bool(return_counts), plan, pre_ranked)
 
     # -- Step 2: broadcast scalar parameters --------------------------------
     with timer.section("broadcast_parameters"):
-        packed, route, perm_range, return_counts, steal_spec, pre_ranked = \
+        packed, route, perm_range, return_counts, plan, pre_ranked = \
             comm.bcast(payload, root=0)
         options = _unpack_options(packed)
         if perm_range is None:
@@ -816,7 +856,6 @@ def _pmaxt_run(
             raise DataError(
                 f"invalid permutation range {perm_range!r} for "
                 f"nperm={options.nperm}")
-        span = range_stop - range_start
 
     # -- Step 3: broadcast + transform the input data ------------------------
     with timer.section("create_data"):
@@ -859,110 +898,18 @@ def _pmaxt_run(
         if ready != comm.size:  # pragma: no cover - defensive
             raise DataError("not all ranks completed data creation")
 
-    # -- Step 4: local kernel over this rank's permutation chunk -------------
-    steal_totals: KernelCounts | None = None
+    # -- Step 4: every rank runs the job's block plan ------------------------
     with timer.section("main_kernel"):
         stat = build_statistic(options, data, labels, pre_ranked=pre_ranked)
         observed = compute_observed(stat, options.side)
-        if steal_spec is not None:
-            # Work-stealing schedule: the range is carved into blocks and
-            # dispatched dynamically (Steps 4 and 5 fuse — contributions
-            # ride the steal messages, so the static path's collective
-            # reductions below are skipped on every rank).
-            steal_totals = _steal_kernel(
-                comm, options, labels, stat, observed,
-                range_start, range_stop, steal_spec)
-        if steal_spec is None:
-            # Ranged runs (the cache's incremental-B extension) partition
-            # only the [range_start, range_stop) span; permutation i is
-            # the same pure function of (seed, i) either way, so a split
-            # run's counts sum to the cold run's bit-for-bit.
-            plan = partition_permutations(span, comm.size)
-            chunk = plan.chunk_for(comm.rank)
-            g_start = range_start + chunk.start
-            includes_observed = (g_start == 0 and chunk.count > 0)
-            if options.store:
-                # Stored mode materialises only this rank's slice; the
-                # stored generator replays with local indices, already
-                # "forwarded".
-                generator = build_generator(
-                    options, labels, store_slice=(g_start, chunk.count)
-                )
-                kernel_args = dict(start=0, count=chunk.count,
-                                   first_is_observed=includes_observed)
-            else:
-                generator = build_generator(options, labels)
-                kernel_args = dict(start=g_start, count=chunk.count,
-                                   first_is_observed=includes_observed)
-            ops = _resolve_run_engine(options)
-            run_engine_batch = options.engine_batch or None
-            if checkpoint_dir is None:
-                # Under a session, each rank owns a resident
-                # KernelWorkspace that survives across pmaxT calls: a warm
-                # call of the same problem shape reuses the previous
-                # call's buffers (counts are bit-identical with or without
-                # a workspace — pinned by tests).  The checkpoint driver
-                # below manages its own workspace, so nothing is parked in
-                # the cache on that path.
-                workspace = _resident_workspace(
-                    stat, options.chunk_size, engine=ops,
-                    engine_batch=run_engine_batch)
-                counts = run_kernel(
-                    stat, generator, observed, options.side,
-                    chunk_size=options.chunk_size, workspace=workspace,
-                    engine=ops, engine_batch=run_engine_batch,
-                    **kernel_args,
-                )
-            else:
-                from .checkpoint import (
-                    CheckpointStore,
-                    problem_fingerprint,
-                    run_kernel_resumable,
-                )
+        totals = _run_blocks(comm, options, data, labels, stat, observed,
+                             range_start, range_stop, plan, checkpoint_dir,
+                             checkpoint_interval)
 
-                fingerprint = problem_fingerprint(
-                    data, labels, options, g_start, chunk.count)
-                store = CheckpointStore(checkpoint_dir, rank=comm.rank)
-                counts = run_kernel_resumable(
-                    stat, generator, observed, options.side,
-                    store=store, fingerprint=fingerprint,
-                    interval=checkpoint_interval,
-                    chunk_size=options.chunk_size,
-                    engine=ops, engine_batch=run_engine_batch,
-                    **kernel_args,
-                )
-                store.clear()
-            delay = injected_delay(comm.rank)
-            if delay > 0:
-                # Straggler-injection hook (tests/benchmarks): the static
-                # plan pays the whole chunk's delay on the throttled rank.
-                time.sleep(delay * chunk.count)
-
-    # -- Step 5: gather counts, compute p-values -----------------------------
+    # -- Step 5: compute p-values from the master's world totals -------------
     result: MaxTResult | _RangeCounts | None = None
     with timer.section("compute_pvalues"):
-        if steal_spec is not None:
-            # The master already holds the world totals (contributions
-            # rode the steal messages); no collective reductions run on
-            # any rank, so a mid-job worker death cannot strand the
-            # survivors in Step 5.
-            totals = steal_totals
-        else:
-            total_raw = comm.reduce_array(counts.raw, op=SUM, root=0)
-            total_adj = comm.reduce_array(counts.adjusted, op=SUM, root=0)
-            total_nperm = comm.reduce(counts.nperm, op=SUM, root=0)
-            if master:
-                totals = KernelCounts(
-                    raw=np.asarray(total_raw),
-                    adjusted=np.asarray(total_adj),
-                    nperm=int(total_nperm),
-                )
         if master:
-            if totals.nperm != span:  # pragma: no cover - defensive
-                raise DataError(
-                    f"permutation accounting error: executed "
-                    f"{totals.nperm}, expected {span}"
-                )
             if return_counts:
                 # The caller (the result cache) sums these with a prior
                 # run's counts; p-values are computed once at the end.

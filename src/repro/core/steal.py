@@ -1,13 +1,22 @@
-"""Deterministic work-stealing scheduler for block-granular permutation dispatch.
+"""Block executor for every pmaxT schedule, with deterministic work stealing.
 
-The paper's Figure-2 partitioning is static: each rank receives one
-contiguous permutation range up front, so a single slow rank sets the job's
-wall-clock.  This module replaces the assignment — not the arithmetic — with
-a block-granular scheme: the master carves ``[range_start, range_stop)``
-into fixed-size :class:`~repro.core.partition.Block`\\ s, every rank starts
-on a short deterministic initial run (:func:`plan_initial_runs`), and
-finished ranks request further blocks from the master over the existing
-point-to-point control plane, so they steal load from stragglers.
+Every ``pmaxT`` run is a *block plan* over ``[range_start, range_stop)``:
+a tuple of :class:`~repro.core.partition.Block`\\ s plus each rank's
+initial run of block ids; blocks in no initial run form the steal pool.
+This module executes any such plan.
+
+* The **static** plan is the paper's Figure-2 partition: each rank's
+  contiguous chunk is one block in its initial run and the pool is empty,
+  so a rank computes its chunk, reports the counts and is told to stop.
+* The **steal** plan carves the range into fixed-size blocks, gives every
+  rank a short deterministic initial run
+  (:func:`~repro.core.partition.plan_initial_runs`) and leaves the rest in
+  the pool: finished ranks request further blocks from the master over
+  the point-to-point control plane, so they steal load from stragglers.
+
+Either way the counts reach the master on the protocol's messages (there
+is no separate count reduction), and the master's :class:`BlockLedger`
+audits that every block was computed exactly once.
 
 Determinism is preserved by construction rather than by locking:
 
@@ -28,6 +37,8 @@ The protocol is three message types on a per-job tag:
 ``nactive`` rides along so the tail of the job can widen the survivors'
 BLAS caps (:func:`repro.mpi.blasctl.apply_elastic_cap`): once the queue
 drains and ranks go idle, the remaining busy ranks may use the whole host.
+The master counts itself as busy while it computes a block, so it never
+widens its own pool while a worker is still computing.
 
 Fault granularity: when a worker dies mid-job the session's health watcher
 raises :class:`~repro.errors.WorkerDeadError` inside the master's blocking
@@ -104,8 +115,8 @@ class BlockLedger:
 
     The ledger is the determinism *audit*: the arithmetic is correct for
     any assignment, so the only thing that can go wrong is coverage — a
-    block computed twice or not at all.  :meth:`assert_exact_cover`
-    replaces the static path's ``total_nperm != span`` accounting check.
+    block computed twice or not at all.  :meth:`assert_exact_cover` is
+    pmaxT's only permutation-accounting check, for every plan.
     """
 
     def __init__(self, blocks: Sequence[Block]):
@@ -212,8 +223,19 @@ def run_steal_master(
         "blocks_requeued": 0,
     }
 
+    busy = False  # rank 0 is computing a block (it counts as active)
+
     def nactive() -> int:
-        return len(active) + (1 if my_blocks or pool else 0)
+        return len(active) + (1 if busy or my_blocks or pool else 0)
+
+    def drain() -> None:
+        # Only live workers send requests, so a one-rank world (or a job
+        # whose workers have all stopped) never needs any-source polling.
+        while active:
+            pending = comm.poll_any(tag)
+            if pending is None:
+                return
+            handle_request(*pending)
 
     def handle_request(src: int, payload: Any) -> None:
         nonlocal acc
@@ -243,11 +265,7 @@ def run_steal_master(
         stats["blocks_requeued"] += len(requeued)
 
     while True:
-        while True:
-            pending = comm.poll_any(tag)
-            if pending is None:
-                break
-            handle_request(*pending)
+        drain()
         if my_blocks:
             bid = my_blocks.popleft()
         elif pool:
@@ -267,6 +285,7 @@ def run_steal_master(
             continue
         else:
             break
+        busy = True
         if recap is not None:
             recap(nactive())
         block = blocks[bid]
@@ -283,11 +302,8 @@ def run_steal_master(
                     Block(bid=block.bid, start=at, count=count)))
                 at += count
                 if at < block.stop:
-                    while True:
-                        pending = comm.poll_any(tag)
-                        if pending is None:
-                            break
-                        handle_request(*pending)
+                    drain()
+        busy = False
         ledger.mark_done(0, [bid])
     return acc, ledger, stats
 

@@ -5,10 +5,10 @@ defines a small MPI-like interface covering exactly the operations ``pmaxT``
 and the SPRINT framework use (paper Sections 2 and 3.2):
 
 * ``bcast``      — Step 2 (parameters) and Step 3 (input data),
-* ``reduce``     — Step 3's synchronising global sum and Step 5's count
-  reduction,
-* ``gather``     — Step 5 (partial observations to the master),
-* ``allreduce``, ``barrier``, ``send``/``recv`` — framework plumbing.
+* ``allreduce``  — Step 3's synchronising global sum,
+* ``send``/``recv``/``recv_any`` — Steps 4–5: the block executor's
+  messages, which also carry each rank's counts to the master,
+* ``reduce``, ``gather``, ``barrier`` — framework plumbing.
 
 Backends:
 
@@ -112,11 +112,13 @@ class Communicator(ABC):
     def recv_any(self, tag: int = 0) -> tuple[int, Any]:
         """Blocking receive from *any* source; returns ``(source, obj)``.
 
-        The ``MPI_ANY_SOURCE`` analogue the work-stealing master needs: it
-        cannot know which rank's block request arrives next.  Backends that
-        route point-to-point traffic through per-rank mailboxes implement
-        this; worlds without a steal control plane may leave the default,
-        which refuses rather than silently misbehaving.
+        The ``MPI_ANY_SOURCE`` analogue pmaxT's block executor needs: the
+        master cannot know which rank's block report arrives next, so
+        every multi-rank pmaxT run (static plans included) uses it, and
+        every built-in backend implements it.  A one-rank world never
+        calls it.  A custom communicator that leaves the default, which
+        refuses rather than silently misbehaving, can only run pmaxT on
+        one rank.
         """
         from ..errors import CommunicatorError
 
@@ -127,7 +129,7 @@ class Communicator(ABC):
     def poll_any(self, tag: int = 0) -> tuple[int, Any] | None:
         """Non-blocking :meth:`recv_any`; ``None`` when nothing is pending.
 
-        Lets the steal master interleave serving block requests with
+        Lets the executor's master interleave serving block requests with
         computing its own blocks instead of parking in a blocking receive.
         """
         from ..errors import CommunicatorError

@@ -74,6 +74,27 @@ PCOR_PARAMS = frozenset({"use", "na"})
 #: Published-dataset handles memoised per pool (oldest evicted beyond this).
 _MAX_HANDLES_PER_POOL = 8
 
+#: Bytes the finished-job history may hold: each finished job is charged
+#: its result's array bytes plus :data:`_JOB_BYTES`, and the oldest
+#: finished jobs are forgotten first once the total exceeds this.
+_HISTORY_BYTES = 64 << 20
+#: Flat charge per finished job (its handle, spec and bookkeeping), which
+#: also bounds how many result-less jobs (failed, cancelled) are kept.
+_JOB_BYTES = 32 << 10
+
+
+def _result_nbytes(result: Any, depth: int = 0) -> int:
+    """Array bytes a job result keeps alive (arrays, lists, object fields)."""
+    if isinstance(result, np.ndarray):
+        return result.nbytes
+    if depth >= 3:
+        return 0
+    if isinstance(result, (list, tuple)):
+        items = result
+    else:
+        items = getattr(result, "__dict__", {}).values()
+    return sum(_result_nbytes(item, depth + 1) for item in items)
+
 
 class _Pool:
     """One resident session plus its scheduling/health bookkeeping."""
@@ -139,6 +160,9 @@ class PoolManager:
         self._queue: list[tuple[int, int, ServiceJob]] = []
         self._seq = itertools.count(1)
         self._jobs: dict[str, ServiceJob] = {}
+        # Finished job ids in finish order -> their charged bytes.
+        self._finished: dict[str, int] = {}
+        self._finished_bytes = 0
         self._started_at = time.monotonic()
         self.jobs_submitted = 0
         self.jobs_done = 0
@@ -205,7 +229,7 @@ class PoolManager:
             if self._closed:
                 raise ServiceError("the pool manager is closed")
             self.jobs_submitted += 1
-            self._register(job)
+            self._jobs[job.id] = job
             if cached is not None:
                 self.cache_answers += 1
                 self.jobs_done += 1
@@ -217,6 +241,7 @@ class PoolManager:
                 heapq.heappush(self._queue, (int(spec.priority), next(self._seq), job))
                 self._cond.notify_all()
         if cached is not None:
+            self._retire(job, cached)
             job._finish(cached, cached=True)
         return job
 
@@ -248,14 +273,26 @@ class PoolManager:
         with self._cond:
             return self._jobs.get(job_id)
 
-    def _register(self, job: ServiceJob) -> None:
-        # Bound the terminal-job history so a long-lived service cannot
-        # leak memory; callers polling a finished job have 1000 newer
-        # submissions' worth of time to collect the result.
-        self._jobs[job.id] = job
-        if len(self._jobs) > 2_000:
-            for jid in [j.id for j in self._jobs.values() if j.done()][:1_000]:
-                del self._jobs[jid]
+    def _retire(self, job: ServiceJob, result: Any = None) -> None:
+        """Charge a finishing job to the history and trim it to budget.
+
+        Bounds the finished-job history by bytes so a long-lived service
+        cannot grow with the jobs it completes.  The oldest finished jobs
+        go first, the newest always stays reachable through :meth:`job`,
+        and queued or running jobs are never in the history.  Runs just
+        before the job turns terminal, so a caller that sees it done also
+        sees the trimmed history.
+        """
+        with self._cond:
+            if job.id not in self._jobs:
+                return
+            cost = _JOB_BYTES + _result_nbytes(result)
+            self._finished[job.id] = cost
+            self._finished_bytes += cost
+            while self._finished_bytes > _HISTORY_BYTES and len(self._finished) > 1:
+                oldest = next(iter(self._finished))
+                self._finished_bytes -= self._finished.pop(oldest)
+                del self._jobs[oldest]
 
     def _check_params(self, spec: JobSpec) -> None:
         allowed = {"pmaxt": PMAXT_PARAMS, "pcor": PCOR_PARAMS, "fn": frozenset()}[spec.kind]
@@ -300,6 +337,7 @@ class PoolManager:
             if not job._start(pool.index):
                 with self._cond:
                     pool.busy = False
+                self._retire(job)
                 continue  # cancelled while queued
             try:
                 result = self._run_job(pool, job)
@@ -312,6 +350,7 @@ class PoolManager:
                     pool.consecutive_failures = 0
                     pool.jobs_done += 1
                     self.jobs_done += 1
+                self._retire(job, result)
                 job._finish(result)
 
     def _next_job(self, pool: _Pool) -> ServiceJob | None:
@@ -393,6 +432,7 @@ class PoolManager:
                 self._cond.notify_all()
                 return
             self.jobs_failed += 1
+        self._retire(job)
         job._fail(exc)
 
     # -- observability -----------------------------------------------------

@@ -29,6 +29,7 @@ from repro.errors import (
     QueueFullError,
     ServiceError,
 )
+import repro.serve.manager as manager_mod
 from repro.serve import JobSpec, PoolManager
 
 
@@ -296,3 +297,58 @@ class TestStealAtServiceTier:
             assert stats["pool_details"][0]["jobs_done"] == pool_jobs
         assert np.array_equal(a, cor(X), equal_nan=True)
         assert np.array_equal(b, a, equal_nan=True)
+
+
+def _array_job(comm, nbytes=0):
+    return np.zeros(nbytes // 8)
+
+
+class TestFinishedJobHistory:
+    """The finished-job history is bounded by bytes, oldest first."""
+
+    def test_byte_budget_evicts_oldest_finished(self, monkeypatch):
+        budget = 1 << 20
+        monkeypatch.setattr(manager_mod, "_HISTORY_BYTES", budget)
+        job_fn = functools.partial(_array_job, nbytes=200_000)
+        with PoolManager("serial", 1, pools=1) as manager:
+            jobs = []
+            for _ in range(12):
+                job = manager.submit(JobSpec(kind="fn", fn=job_fn))
+                job.result(timeout=30)
+                jobs.append(job)
+                # The newest finished job stays reachable, and the
+                # results still reachable fit the budget.
+                assert manager.job(job.id) is job
+                kept = [j for j in jobs if manager.job(j.id) is not None]
+                assert sum(a.nbytes for j in kept for a in j.result()) <= budget
+            assert manager.job(jobs[0].id) is None
+
+    def test_queued_and_running_jobs_are_never_evicted(self, dataset,
+                                                       tmp_path,
+                                                       monkeypatch):
+        # A one-byte budget keeps only the newest finished job.
+        monkeypatch.setattr(manager_mod, "_HISTORY_BYTES", 1)
+        X, y = dataset
+        started, release = threading.Event(), threading.Event()
+        with PoolManager("serial", 1, pools=1,
+                         cache_dir=str(tmp_path / "c")) as manager:
+            manager.submit_pmaxt(X, y, B=100, seed=1).result(timeout=60)
+            running = manager.submit(JobSpec(
+                kind="fn",
+                fn=functools.partial(_wait_blocker, started=started,
+                                     release=release)))
+            assert started.wait(30)
+            queued = manager.submit(JobSpec(kind="fn", fn=_touch))
+            # Cache answers finish at submission, trimming the history
+            # while one job runs and another waits.
+            hits = [manager.submit_pmaxt(X, y, B=100, seed=1)
+                    for _ in range(3)]
+            assert all(h.cached for h in hits)
+            assert manager.job(running.id) is running
+            assert manager.job(queued.id) is queued
+            assert manager.job(hits[-1].id) is hits[-1]
+            assert manager.job(hits[0].id) is None
+            release.set()
+            running.result(timeout=30)
+            queued.result(timeout=30)
+            assert manager.job(queued.id) is queued

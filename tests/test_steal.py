@@ -525,3 +525,50 @@ class TestSingleRankRespawn:
         assert state_after[2][0] != state_before[2][0]
         assert stats["spawns"] == 1, "full pool respawn defeats the point"
         assert stats["rank_respawns"] == 1
+
+    @pytest.mark.parametrize("checkpointed", [False, True],
+                             ids=["static", "checkpointed"])
+    def test_kill_mid_static_job_recovers(self, dataset, monkeypatch,
+                                          tmp_path, checkpointed):
+        """Static plans run on the same executor, so they recover too."""
+        X, y = dataset
+        serial = pmaxT(X, y, B=900)
+        # Set before the pool forks, so every rank is throttled: each
+        # 300-permutation chunk then takes ~1.5 s.
+        monkeypatch.setenv("REPRO_STEAL_TEST_DELAY", "*:0.005")
+        kwargs = dict(schedule="static")
+        if checkpointed:
+            kwargs = dict(checkpoint_dir=str(tmp_path),
+                          checkpoint_interval=32)
+        with open_session("shm", 3) as ses:
+            ses.run(_survivor_state)  # spawn the pool
+            pids_before = ses.worker_pids()
+            out: dict = {}
+
+            def run_job():
+                try:
+                    out["res"] = pmaxT(X, y, B=900, session=ses, **kwargs)
+                except Exception as exc:  # pragma: no cover - surfaced below
+                    out["err"] = exc
+
+            worker = threading.Thread(target=run_job)
+            worker.start()
+            time.sleep(0.5)
+            victim = pids_before[1]  # rank 2
+            os.kill(victim, signal.SIGKILL)
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+            assert "res" in out, f"kill job failed: {out.get('err')!r}"
+            _same(out["res"], serial)
+
+            again = pmaxT(X, y, B=900, session=ses, **kwargs)
+            _same(again, serial)
+            pids_after = ses.worker_pids()
+            stats = ses.stats()
+
+        assert pids_after[0] == pids_before[0]
+        assert pids_after[1] != victim
+        assert stats["spawns"] == 1, "full pool respawn defeats the point"
+        assert stats["rank_respawns"] == 1
+        assert stats["steal_jobs"] == 0
+        assert not any(tmp_path.glob("rank*.npz"))
