@@ -1,25 +1,28 @@
 """Measured benchmark: the compute-engine hot path, engine vs reference.
 
-Two measurements per available engine, written to ``BENCH_accel.json``:
+Two measurements, written to ``BENCH_accel.json``:
 
-1. **Engine-batched keystream generation** — ``take_batch`` with an engine
-   attached (batched Philox raw keys + one device argsort per super-batch)
-   against the engine-less batched path, per keystream family.  The stream
-   is asserted bit-identical before either timing means anything: the keys
-   are generated on the host and are unique with overwhelming probability,
-   so any correct sort yields the same permutation.
-2. **End-to-end ``run_kernel``** — the engine-routed kernel (super-batch
-   encoding prefill + engine-namespace scoring GEMMs) against the plain
-   workspace kernel on the same problem.  The numpy engine performs the
-   reference arithmetic, so its counts are asserted int64-exact; device
-   engines are bit-identical on the stream and tie-tolerance-equal on
-   counts (only the numpy rows gate CI).
+1. **Keystream generation** (numpy rows only) — ``take_batch`` on the
+   random generators, which fill through their host numpy pipeline
+   (``NumpyEngine.fill_encodings``: batched Philox raw keys plus one
+   value-packed sort per chunk), against the
+   :mod:`repro.permute.keystream` reference functions called directly,
+   per keystream family.  The stream is asserted bit-identical before
+   either timing means anything.
+2. **End-to-end ``run_kernel``** — the kernel on the real generator,
+   scored by each available engine, against the kernel on a
+   benchmark-local generator that fills through the keystream reference
+   functions and scores with the numpy engine.  The numpy engine
+   performs the reference arithmetic, so its counts are asserted
+   int64-exact; other engines are tie-tolerance-equal on counts (only
+   the numpy rows gate CI).  Engines only score, so the torch rows time
+   scoring alone: both sides generate with the same numpy pipeline.
 
 The ``speedup`` leaves feed ``check_bench_regression.py``: both ratios are
-engine-vs-reference on the *same host and scale*, so they are
-host-independent claims — the committed record defends "the engine path
-does not collapse", not an absolute throughput.  Engines missing on the
-host (torch, cupy) simply do not appear in the JSON; the gate skips keys
+pipeline-vs-reference on the *same host and scale*, so they are
+host-independent claims — the committed record defends "the numpy
+pipeline does not collapse", not an absolute throughput.  Engines missing
+on the host (torch) simply do not appear in the JSON; the gate skips keys
 present on one side only, so a torch CI leg can write richer smoke records
 against the same committed file.
 
@@ -46,7 +49,14 @@ import numpy as np
 from repro.accel import resolve_engine
 from repro.core.kernel import run_kernel
 from repro.errors import EngineUnavailableError
-from repro.permute import RandomBlockShuffle, RandomLabelShuffle, RandomSigns
+from repro.permute import (
+    DEFAULT_SEED,
+    RandomBlockShuffle,
+    RandomLabelShuffle,
+    RandomSigns,
+    keystream,
+)
+from repro.permute.base import PermutationGenerator
 
 DEFAULT_GENES = 5_000
 DEFAULT_SAMPLES = 100
@@ -68,7 +78,7 @@ def _best(fn, repeats):
 def available_engines() -> list[str]:
     """Engine names importable on this host, reference engine first."""
     names = ["numpy"]
-    for name in ("torch", "cupy"):
+    for name in ("torch",):
         try:
             resolve_engine(name)
         except EngineUnavailableError:
@@ -78,49 +88,55 @@ def available_engines() -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# 1. Engine-batched keystream generation
+# 1. Keystream generation
 # ---------------------------------------------------------------------------
 
 def _families(n_samples: int, nperm: int) -> dict:
+    """``name -> (generator factory, reference fill(start, count))``."""
     from repro.data import block_labels, two_class_labels
 
     labels = two_class_labels(n_samples // 2, n_samples - n_samples // 2)
     blocks = block_labels(max(2, n_samples // 4), 4)
     npairs = n_samples // 2
+    layout = blocks.reshape(-1, 4)
     return {
-        "label_shuffle": lambda: RandomLabelShuffle(labels, nperm),
-        "signs": lambda: RandomSigns(npairs, nperm),
-        "block_shuffle": lambda: RandomBlockShuffle(blocks, 4, nperm),
+        "label_shuffle": (
+            lambda: RandomLabelShuffle(labels, nperm),
+            lambda s, c: keystream.label_permutations(DEFAULT_SEED, s, c,
+                                                      labels)),
+        "signs": (
+            lambda: RandomSigns(npairs, nperm),
+            lambda s, c: keystream.sign_vectors(DEFAULT_SEED, s, c, npairs)),
+        "block_shuffle": (
+            lambda: RandomBlockShuffle(blocks, 4, nperm),
+            lambda s, c: keystream.block_permutations(DEFAULT_SEED, s, c,
+                                                      layout)),
     }
 
 
-def measure_permgen(ops, n_samples, b_perm, repeats) -> dict:
+def measure_permgen(n_samples, b_perm, repeats) -> dict:
     out = {}
-    for name, make in _families(n_samples, b_perm + 1).items():
-        # Bit-identity guard: the engine-sorted stream must equal the
+    for name, (make, reference) in _families(n_samples, b_perm + 1).items():
+        # Bit-identity guard: the pipeline's stream must equal the
         # reference stream before its time is meaningful.
         head = min(b_perm, 64)
-        plain = make()
-        plain.skip(1)
-        reference = plain.take_batch(head)
-        accel = make()
-        assert accel.attach_engine(ops), name
-        accel.skip(1)
-        assert np.array_equal(accel.take_batch(head), reference), name
+        gen = make()
+        gen.skip(1)
+        assert np.array_equal(gen.take_batch(head), reference(1, head)), name
 
-        # Reuse generators and the output buffer across repeats, exactly
-        # as run_kernel does (resident generator, workspace.enc buffer).
-        buf = np.empty((b_perm, plain.width), dtype=np.int64)
+        # Reuse the generator and the output buffer across repeats,
+        # exactly as run_kernel does (resident generator, workspace.enc).
+        buf = np.empty((b_perm, gen.width), dtype=np.int64)
 
         def plain_batch():
-            plain.reset()
-            plain.skip(1)
-            return plain.take_batch(b_perm, out=buf)
+            # Rows land in the caller's buffer on both sides.
+            buf[:] = reference(1, b_perm)
+            return buf
 
         def engine_batch():
-            accel.reset()
-            accel.skip(1)
-            return accel.take_batch(b_perm, out=buf)
+            gen.reset()
+            gen.skip(1)
+            return gen.take_batch(b_perm, out=buf)
 
         plain_s = _best(plain_batch, repeats)
         engine_s = _best(engine_batch, repeats)
@@ -134,8 +150,36 @@ def measure_permgen(ops, n_samples, b_perm, repeats) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 2. The engine-routed kernel
+# 2. The kernel
 # ---------------------------------------------------------------------------
+
+class _ReferenceLabelShuffle(PermutationGenerator):
+    """Fixed-seed label shuffles filled by the keystream reference function.
+
+    The same stream as :class:`~repro.permute.RandomLabelShuffle`, produced
+    by ``keystream.label_permutations`` instead of the numpy pipeline.
+    """
+
+    def __init__(self, labels, nperm: int, seed: int = DEFAULT_SEED):
+        super().__init__(nperm, labels.size)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.seed = seed
+
+    def _encode(self, index: int) -> np.ndarray:
+        if index == 0:
+            return self.labels.copy()
+        return keystream.label_permutations(self.seed, index, 1,
+                                            self.labels)[0]
+
+    def _fill_batch(self, out: np.ndarray, count: int) -> np.ndarray:
+        pos = self._position
+        lo = 1 if pos == 0 else 0
+        if lo:
+            out[0] = self.labels
+        out[lo:count] = keystream.label_permutations(
+            self.seed, pos + lo, count - lo, self.labels)
+        return out
+
 
 def _kernel_problem(n_genes, n_samples, b_kernel, seed=1):
     from repro.core.kernel import compute_observed
@@ -152,15 +196,18 @@ def _kernel_problem(n_genes, n_samples, b_kernel, seed=1):
     options = validate_options(labels, test="t", B=b_kernel)
     stat = build_statistic(options, X, labels)
     generator = build_generator(options, labels)
+    reference = _ReferenceLabelShuffle(labels, options.nperm,
+                                       seed=options.seed)
     observed = compute_observed(stat, "abs")
-    return stat, generator, observed
+    return stat, generator, reference, observed
 
 
 def measure_kernel(ops, n_genes, n_samples, b_kernel, repeats,
                    exact: bool) -> dict:
-    stat, generator, observed = _kernel_problem(n_genes, n_samples, b_kernel)
+    stat, generator, ref_gen, observed = _kernel_problem(
+        n_genes, n_samples, b_kernel)
 
-    reference = run_kernel(stat, generator, observed, "abs", 0, b_kernel)
+    reference = run_kernel(stat, ref_gen, observed, "abs", 0, b_kernel)
     routed = run_kernel(stat, generator, observed, "abs", 0, b_kernel,
                         engine=ops)
     if exact:  # the numpy engine is the reference arithmetic
@@ -169,7 +216,7 @@ def measure_kernel(ops, n_genes, n_samples, b_kernel, repeats,
     assert reference.nperm == routed.nperm
 
     plain_s = _best(
-        lambda: run_kernel(stat, generator, observed, "abs", 0, b_kernel),
+        lambda: run_kernel(stat, ref_gen, observed, "abs", 0, b_kernel),
         repeats)
     engine_s = _best(
         lambda: run_kernel(stat, generator, observed, "abs", 0, b_kernel,
@@ -190,10 +237,11 @@ def measure(n_genes=DEFAULT_GENES, n_samples=DEFAULT_SAMPLES,
     for name in available_engines():
         ops = resolve_engine(name)
         engines[name] = {
-            "permgen": measure_permgen(ops, n_samples, b_perm, repeats),
             "kernel": measure_kernel(ops, n_genes, n_samples, b_kernel,
                                      repeats, exact=(name == "numpy")),
         }
+    # Generation does not depend on the scoring engine: one set of rows.
+    engines["numpy"]["permgen"] = measure_permgen(n_samples, b_perm, repeats)
     ref = engines["numpy"]
     return {
         "benchmark": "accel_engines",
@@ -212,7 +260,7 @@ def test_numpy_engine_parity_and_win():
     result = measure(n_genes=800, n_samples=64, b_perm=4_000, b_kernel=400,
                      repeats=2)
     ref = result["engines"]["numpy"]
-    # The argsort-batched keystream must beat the reference batched path.
+    # The value-packed pipeline must beat the reference argsort functions.
     assert result["engine_permgen_speedup"] > 1.2, ref["permgen"]
     # The routed kernel must not collapse (the GEMMs already dominate).
     assert result["engine_kernel_speedup"] > 0.7, ref["kernel"]
@@ -220,7 +268,8 @@ def test_numpy_engine_parity_and_win():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Time the compute-engine hot path, engine vs reference.")
+        description="Time the numpy generation pipeline and the engine-"
+        "scored kernel against their keystream references.")
     parser.add_argument("--genes", type=int, default=DEFAULT_GENES)
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--b-perm", type=int, default=DEFAULT_B_PERM)
@@ -242,7 +291,7 @@ def main(argv=None) -> int:
     print(f"matrix {args.genes}x{args.samples}, B_perm={args.b_perm}, "
           f"B_kernel={args.b_kernel}, best of {args.repeats}")
     for name, rows in result["engines"].items():
-        for family, row in rows["permgen"].items():
+        for family, row in rows.get("permgen", {}).items():
             print(f"  {name:6s} permgen {family:14s}"
                   f" plain {row['plain_s'] * 1e3:8.1f} ms"
                   f"   engine {row['engine_s'] * 1e3:8.1f} ms"

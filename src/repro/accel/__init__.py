@@ -1,20 +1,23 @@
 """Compute engines: one registry for *which array module* scores batches.
 
-The pmaxT hot path — batched keystream permutation encoding plus the
-GEMM-heavy scoring kernel — is written against the
-:class:`~repro.accel.base.ArrayOps` protocol and does not care which
-array library executes it.  This module makes that choice a first-class,
-string-keyed option, mirroring the execution-backend registry of
-:mod:`repro.mpi.backends`:
+The pmaxT scoring hot path — the statistics' GEMM-heavy batch kernels —
+is written against the :class:`~repro.accel.base.ArrayOps` protocol and
+does not care which array library executes it.  This module makes that
+choice a first-class, string-keyed option, mirroring the
+execution-backend registry of :mod:`repro.mpi.backends`:
 
 ====== ======== =====================================================
 key    module   notes
 ====== ======== =====================================================
-numpy  numpy    always available; the bit-identical reference, with a
-                value-packed fused sort pipeline ~2x the seed path
+numpy  numpy    always available; the bit-identical scoring reference
 torch  torch    CPU or CUDA; optional (``pip install repro[torch]``)
-cupy   cupy     CUDA; optional (``pip install repro[cupy]``)
 ====== ======== =====================================================
+
+Engines score; they do not generate.  Permutation encodings come from
+one host pipeline, :meth:`NumpyEngine.fill_encodings
+<repro.accel.numpy_engine.NumpyEngine.fill_encodings>`, which every
+fixed-seed random generator owns (a value-packed fused sort ~2x the
+plain ``argsort`` construction), whatever engine scores the batch.
 
 Every consumer — ``pmaxT(..., engine="torch")``, ``pcor``, the
 ``repro-maxt`` CLI, the benchmarks — routes through
@@ -31,23 +34,21 @@ once::
     pmaxT(X, labels, engine="jax")
 
 ``engine="auto"`` picks the best engine the host can actually drive: a
-CUDA-backed cupy or torch when present, the numpy reference otherwise —
-so code written with ``auto`` transparently speeds up on GPU hosts and
-keeps working on laptops.  Requesting a missing module by name raises
+CUDA-backed torch when present, the numpy reference otherwise — so code
+written with ``auto`` transparently speeds up on GPU hosts and keeps
+working on laptops.  Requesting a missing module by name raises
 :class:`~repro.errors.EngineUnavailableError`.
 
-Determinism: permutation streams are bit-identical across engines (the
-Philox keys are host-generated and unique, so every correct sort yields
-the same ordering); counts are int64-exact and statistics agree within
-the dtype-aware tie tolerance of :mod:`repro.core.kernel`.
+Determinism: permutation streams do not depend on the engine at all;
+counts are int64-exact and statistics agree within the dtype-aware tie
+tolerance of :mod:`repro.core.kernel`.
 """
 
 from __future__ import annotations
 
 from ..errors import EngineUnavailableError, OptionError
-from .base import ArrayOps, DEFAULT_ENGINE_BATCH, KeystreamSpec
-from .cupy_engine import CupyEngine
-from .numpy_engine import NumpyEngine
+from .base import ArrayOps
+from .numpy_engine import KeystreamSpec, NumpyEngine
 from .torch_engine import TorchEngine
 
 __all__ = [
@@ -55,23 +56,21 @@ __all__ = [
     "KeystreamSpec",
     "NumpyEngine",
     "TorchEngine",
-    "CupyEngine",
     "register_engine",
     "resolve_engine",
     "available_engines",
     "ENGINE_CHOICES",
     "DEFAULT_ENGINE",
-    "DEFAULT_ENGINE_BATCH",
 ]
 
 #: The engine used when a consumer passes no ``engine=``.
 DEFAULT_ENGINE = "auto"
 
 #: The option values the user-facing interfaces accept.
-ENGINE_CHOICES: tuple[str, ...] = ("auto", "numpy", "torch", "cupy")
+ENGINE_CHOICES: tuple[str, ...] = ("auto", "numpy", "torch")
 
 #: ``auto`` preference order: device-backed engines first, reference last.
-_AUTO_ORDER: tuple[str, ...] = ("cupy", "torch", "numpy")
+_AUTO_ORDER: tuple[str, ...] = ("torch", "numpy")
 
 _REGISTRY: dict[str, type[ArrayOps]] = {}
 
@@ -110,8 +109,7 @@ def _auto_engine_cls() -> type[ArrayOps]:
     return _REGISTRY["numpy"]
 
 
-def resolve_engine(spec: str | ArrayOps | None = None, *,
-                   batch_rows: int | None = None) -> ArrayOps:
+def resolve_engine(spec: str | ArrayOps | None = None) -> ArrayOps:
     """Turn an engine name (or an already-built engine) into an ArrayOps.
 
     ``None`` and ``"auto"`` both resolve to the best engine this host can
@@ -128,7 +126,7 @@ def resolve_engine(spec: str | ArrayOps | None = None, *,
         raise OptionError(
             f"engine must be a name or an ArrayOps instance, got {spec!r}")
     if spec == "auto":
-        return _auto_engine_cls()(batch_rows=batch_rows)
+        return _auto_engine_cls()()
     cls = _REGISTRY.get(spec)
     if cls is None:
         raise OptionError(
@@ -136,9 +134,9 @@ def resolve_engine(spec: str | ArrayOps | None = None, *,
     if not cls.module_available():
         raise EngineUnavailableError(
             spec, hint=f"available here: {', '.join(available_engines())}")
-    return cls(batch_rows=batch_rows)
+    return cls()
 
 
-for _engine_cls in (NumpyEngine, TorchEngine, CupyEngine):
+for _engine_cls in (NumpyEngine, TorchEngine):
     register_engine(_engine_cls)
 del _engine_cls

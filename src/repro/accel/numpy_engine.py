@@ -1,11 +1,14 @@
-"""The NumPy reference engine — and the fast host permutation pipeline.
+"""The NumPy reference engine — and the one host permutation pipeline.
 
 Scoring: :attr:`NumpyEngine.xp` is the :mod:`numpy` module itself, so the
 statistic kernels execute the exact reference arithmetic.
 
-Encoding: the reference construction for a label permutation is
-``labels[np.argsort(keys)]`` — an indirect sort plus a gather, both
-cache-hostile at kernel batch sizes.  This engine replaces them with a
+Encoding: :meth:`NumpyEngine.fill_encodings` is the only producer of
+fixed-seed encodings.  Each random generator owns a host instance and
+fills every batch (and every single ``at()`` row) through it, whatever
+engine scores the batch.  The reference construction for a label
+permutation is ``labels[np.argsort(keys)]`` — an indirect sort plus a
+gather, both cache-hostile at kernel batch sizes.  This engine replaces them with a
 **value-packed direct sort** that is bit-identical to the reference:
 
 * every 64-bit key has its low ``nbits`` bits overwritten with the label
@@ -32,7 +35,11 @@ heap instead of fresh ``mmap`` regions — set ``REPRO_ACCEL_MALLOC=0``
 to leave malloc alone.
 
 Sign vectors keep the reference low-bit construction, chunk-fused; block
-shuffles run the same value-pack sort per ``k``-wide block group.
+shuffles run the same value-pack sort per ``k``-wide block group.  Inputs
+the packed sort cannot take — a single column or ``k = 1`` blocks (no
+adjacent pair for the collision check), label values too wide to pack —
+are filled by the :mod:`repro.permute.keystream` reference functions
+themselves.
 """
 
 from __future__ import annotations
@@ -42,9 +49,9 @@ import os
 import numpy as np
 
 from ..permute import keystream
-from .base import ArrayOps, KeystreamSpec
+from .base import ArrayOps
 
-__all__ = ["NumpyEngine", "SORT_CHUNK_ROWS"]
+__all__ = ["KeystreamSpec", "NumpyEngine", "SORT_CHUNK_ROWS"]
 
 #: Rows per fused pack/sort/extract chunk.  512 rows x a few hundred
 #: uint64 columns keeps the chunk's working set inside L2 on common
@@ -52,11 +59,50 @@ __all__ = ["NumpyEngine", "SORT_CHUNK_ROWS"]
 SORT_CHUNK_ROWS: int = 512
 
 #: Label values must fit in this many packed low bits; wider designs
-#: (absurd class counts) fall back to the reference path.
+#: (absurd class counts) are filled by the reference functions.
 _MAX_PACK_BITS: int = 16
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
+
+
+class KeystreamSpec:
+    """What a fixed-seed random generator's keystream encodes.
+
+    One frozen description of the permutation family — enough to
+    reproduce encodings ``[start, start + count)`` from the Philox raw
+    keys alone.
+
+    Attributes
+    ----------
+    kind:
+        ``"labels"`` (uniform relabellings), ``"signs"`` (fair sign
+        vectors) or ``"blocks"`` (within-block shuffles).
+    seed:
+        The keystream seed.
+    width:
+        Encoding row width (``n`` columns or ``npairs``).
+    labels:
+        The observed label vector for ``kind="labels"`` (read-only int64).
+    blocks:
+        The ``(nblocks, k)`` block label layout for ``kind="blocks"``.
+    """
+
+    __slots__ = ("kind", "seed", "width", "labels", "blocks")
+
+    def __init__(self, kind: str, seed: int, width: int,
+                 labels: np.ndarray | None = None,
+                 blocks: np.ndarray | None = None):
+        self.kind = kind
+        self.seed = int(seed)
+        self.width = int(width)
+        self.labels = labels
+        self.blocks = blocks
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"KeystreamSpec(kind={self.kind!r}, seed={self.seed}, "
+                f"width={self.width})")
+
 
 _allocator_tuned = False
 
@@ -100,8 +146,7 @@ class NumpyEngine(ArrayOps):
     name = "numpy"
     is_device = False
 
-    def __init__(self, batch_rows: int | None = None):
-        super().__init__(batch_rows)
+    def __init__(self):
         _tune_allocator()
         # Chunk scratch, grown to the widest spec served; plus per-spec
         # packing state cached by spec identity (specs are built once per
@@ -109,18 +154,6 @@ class NumpyEngine(ArrayOps):
         self._comb: np.ndarray | None = None
         self._adj: np.ndarray | None = None
         self._packed: dict[int, tuple] = {}
-
-    # -- capability -----------------------------------------------------------
-
-    def accelerates(self, spec: KeystreamSpec | None) -> bool:
-        if not super().accelerates(spec):
-            return False
-        if spec.kind == "labels":
-            # The adjacency tie check needs at least one adjacent pair.
-            return spec.width >= 2 and _pack_bits(spec.labels) > 0
-        if spec.kind == "blocks":
-            return _pack_bits(spec.blocks) > 0
-        return True
 
     # -- scratch --------------------------------------------------------------
 
@@ -131,36 +164,56 @@ class NumpyEngine(ArrayOps):
                                  dtype=np.uint64)
         return self._comb, self._adj
 
-    def _pack_state(self, spec: KeystreamSpec) -> tuple:
-        state = self._packed.get(id(spec))
-        if state is not None and state[0] is spec:
-            return state
+    def _pack_state(self, spec: KeystreamSpec) -> tuple | None:
+        """Packing constants for ``spec``, or ``None`` when unpackable."""
+        cached = self._packed.get(id(spec))
+        if cached is not None and cached[0] is spec:
+            return cached[1]
         values = spec.labels if spec.kind == "labels" else spec.blocks
         nbits = _pack_bits(values)
+        # The adjacency collision check needs at least one adjacent pair
+        # per sorted group: two columns, or blocks of k >= 2.
+        if values.shape[-1] < 2 or nbits == 0:
+            self._packed[id(spec)] = (spec, None)
+            return None
         low = np.uint64((1 << nbits) - 1)
         hi = np.uint64(((1 << nbits) - 1) ^ int(_U64_MAX))
         packed_row = values.reshape(-1).astype(np.uint64)
         # The tie sentinel: adjacent sorted words whose xor minus one is
         # below this differ only in packed bits — a key collision.
         sentinel = np.uint64((1 << nbits) - 1)
-        state = (spec, nbits, low, hi, packed_row, sentinel)
-        self._packed[id(spec)] = state
+        state = (low, hi, packed_row, sentinel)
+        self._packed[id(spec)] = (spec, state)
         return state
 
     # -- encoding -------------------------------------------------------------
 
     def fill_encodings(self, spec: KeystreamSpec, start: int, count: int,
                        out: np.ndarray) -> None:
+        """Write encodings for keystream indices ``[start, start + count)``.
+
+        ``out`` is the caller's host ``(count, width)`` int64 view; the
+        rows are bit-identical to the :mod:`repro.permute.keystream`
+        reference functions for the same indices.
+        """
         if count <= 0:
             return
         if spec.kind == "signs":
             self._fill_signs(spec, start, count, out)
+            return
+        state = self._pack_state(spec)
+        if state is None:
+            # Nothing to pack: the reference construction fills the rows.
+            if spec.kind == "labels":
+                out[:count] = keystream.label_permutations(
+                    spec.seed, start, count, spec.labels)
+            else:
+                out[:count] = keystream.block_permutations(
+                    spec.seed, start, count, spec.blocks)
         elif spec.kind == "labels":
-            self._fill_labels(spec, start, count, out)
-        elif spec.kind == "blocks":
-            self._fill_blocks(spec, start, count, out)
-        else:  # pragma: no cover - accelerates() gates the kinds
-            raise ValueError(f"unknown keystream kind {spec.kind!r}")
+            self._fill_labels(spec, state, start, count, out)
+        else:
+            self._fill_blocks(spec, state, start, count, out)
 
     def _fill_signs(self, spec: KeystreamSpec, start: int, count: int,
                     out: np.ndarray) -> None:
@@ -173,9 +226,9 @@ class NumpyEngine(ArrayOps):
             np.left_shift(dest, 1, out=dest)
             np.subtract(dest, 1, out=dest)
 
-    def _fill_labels(self, spec: KeystreamSpec, start: int, count: int,
-                     out: np.ndarray) -> None:
-        _, _, low, hi, labels_u64, sentinel = self._pack_state(spec)
+    def _fill_labels(self, spec: KeystreamSpec, state: tuple, start: int,
+                     count: int, out: np.ndarray) -> None:
+        low, hi, labels_u64, sentinel = state
         width = spec.width
         comb_full, adj_full = self._chunk_scratch(width)
         out_u64 = out.view(np.uint64)
@@ -196,9 +249,9 @@ class NumpyEngine(ArrayOps):
                 # chunk through the reference argsort construction.
                 out[s:s + c] = spec.labels[np.argsort(keys, axis=1)]
 
-    def _fill_blocks(self, spec: KeystreamSpec, start: int, count: int,
-                     out: np.ndarray) -> None:
-        _, _, low, hi, blocks_u64, sentinel = self._pack_state(spec)
+    def _fill_blocks(self, spec: KeystreamSpec, state: tuple, start: int,
+                     count: int, out: np.ndarray) -> None:
+        low, hi, blocks_u64, sentinel = state
         nblocks, k = spec.blocks.shape
         width = spec.width
         comb_full, _ = self._chunk_scratch(width)

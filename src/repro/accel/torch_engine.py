@@ -1,18 +1,8 @@
-"""PyTorch compute engine (CPU or CUDA).
+"""PyTorch compute engine (CPU or CUDA): statistic scoring on tensors.
 
-Bit-identity strategy: the raw 64-bit keys always come from the host
-Philox stream (fixed by specification), so the engine only has to sort
-them in the same order NumPy would.  A batch of 64-bit keys is unique
-(collisions ~2^-64 per pair; the reference path accepts the same odds),
-and the ordering of *unique* keys is algorithm-independent — so a torch
-``argsort`` yields the identical permutation.  torch has no uint64, so
-keys are XORed with ``2^63`` and viewed as int64, an order-preserving
-bijection from unsigned to signed comparison.
-
-Host<->device traffic is chunked in ``batch_rows`` blocks through pinned
-staging buffers with ``non_blocking`` copies, so on CUDA the upload of
-one chunk overlaps the sort of the previous one; on CPU the same code
-degrades to plain copies.
+The engine scores only; permutation encodings are generated on the host
+by the generators' own numpy pipeline and uploaded per batch
+(:meth:`TorchEngine.adopt_encodings`).
 
 The scoring namespace (:attr:`TorchEngine.xp`) adapts the NumPy call
 surface the statistics use (``out=`` ufuncs, ``matmul``, ``errstate``)
@@ -28,12 +18,9 @@ from typing import Any
 
 import numpy as np
 
-from ..permute import keystream
-from .base import ArrayOps, KeystreamSpec
+from .base import ArrayOps
 
 __all__ = ["TorchEngine"]
-
-_SIGN_FLIP = np.uint64(1 << 63)
 
 
 def _torch():
@@ -140,12 +127,11 @@ class _TorchXp:
 
 
 class TorchEngine(ArrayOps):
-    """Batched keystream sorting + scoring on torch tensors."""
+    """Statistic scoring on torch tensors."""
 
     name = "torch"
 
-    def __init__(self, batch_rows: int | None = None, device: str | None = None):
-        super().__init__(batch_rows)
+    def __init__(self, device: str | None = None):
         torch = _torch()
         if device is None:
             device = "cuda" if torch.cuda.is_available() else "cpu"
@@ -153,7 +139,6 @@ class TorchEngine(ArrayOps):
         self.is_device = self.device.type != "cpu"
         self._xp = _TorchXp(self.device)
         self._constants: dict[int, tuple] = {}
-        self._spec_state: dict[int, tuple] = {}
 
     @classmethod
     def module_available(cls) -> bool:
@@ -201,51 +186,3 @@ class TorchEngine(ArrayOps):
             return host
         np.copyto(out, host)
         return out
-
-    # -- encoding -------------------------------------------------------------
-
-    def _upload_keys(self, seed: int, start: int, count: int, width: int):
-        """Philox keys for a chunk, as an order-preserving int64 tensor."""
-        torch = _torch()
-        keys = keystream.raw_keys(seed, start, count, width)
-        signed = np.bitwise_xor(keys, _SIGN_FLIP).view(np.int64)
-        staged = torch.as_tensor(np.ascontiguousarray(signed))
-        if self.is_device:
-            staged = staged.pin_memory()
-            return staged.to(self.device, non_blocking=True)
-        return staged
-
-    def _spec_tensors(self, spec: KeystreamSpec):
-        state = self._spec_state.get(id(spec))
-        if state is not None and state[0] is spec:
-            return state[1]
-        torch = _torch()
-        if spec.kind == "labels":
-            mirrored = torch.as_tensor(
-                np.ascontiguousarray(spec.labels)).to(self.device)
-        elif spec.kind == "blocks":
-            mirrored = torch.as_tensor(
-                np.ascontiguousarray(spec.blocks)).to(self.device)
-        else:
-            mirrored = None
-        self._spec_state[id(spec)] = (spec, mirrored)
-        return mirrored
-
-    def fill_encodings(self, spec: KeystreamSpec, start: int, count: int,
-                       out: np.ndarray) -> None:
-        torch = _torch()
-        step = self.batch_rows
-        for s in range(0, count, step):
-            c = min(step, count - s)
-            kt = self._upload_keys(spec.seed, start + s, c, spec.width)
-            if spec.kind == "signs":
-                enc = torch.bitwise_and(kt, 1) * 2 - 1
-            elif spec.kind == "labels":
-                sigma = torch.argsort(kt, dim=1)
-                enc = self._spec_tensors(spec)[sigma]
-            else:
-                nblocks, k = spec.blocks.shape
-                sigma = torch.argsort(kt.view(c, nblocks, k), dim=2)
-                tiled = self._spec_tensors(spec).expand(c, nblocks, k)
-                enc = torch.gather(tiled, 2, sigma).reshape(c, spec.width)
-            np.copyto(out[s:s + c], enc.to("cpu").numpy())

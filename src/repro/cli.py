@@ -89,14 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "float64)")
     parser.add_argument("--engine", default="auto",
                         choices=ENGINE_CHOICES,
-                        help="array-module compute engine: 'numpy' is the "
-                        "bit-identical batched reference, 'torch'/'cupy' "
-                        "run the hot path on their array library (GPU "
-                        "when available), 'auto' picks the best this "
+                        help="array-module engine that scores the "
+                        "permutations: 'numpy' is the bit-identical "
+                        "reference, 'torch' scores on its array library "
+                        "(GPU when available), 'auto' picks the best this "
                         "host can drive (default: auto)")
-    parser.add_argument("--engine-batch", type=int, default=0, metavar="N",
-                        help="rows per engine super-batch "
-                        "(default: 0 = the engine's own default)")
     parser.add_argument("--schedule", default="auto",
                         choices=("auto", "static", "steal"),
                         help="permutation scheduling: 'static' is the "
@@ -250,7 +247,7 @@ def _serve_main(argv: list[str]) -> int:
                         "rejected with 429 backpressure")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="shared result cache: repeated analyses are "
-                        "answered from disk without occupying a pool "
+                        "answered from disk without taking a pool "
                         "(default: $REPRO_CACHE_DIR)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         help="default per-job execution deadline in seconds")
@@ -292,7 +289,6 @@ def main(argv: list[str] | None = None) -> int:
             nonpara=args.nonpara,
             dtype=args.dtype,
             engine=args.engine,
-            engine_batch=args.engine_batch,
             blas_threads=args.blas_threads,
             row_names=row_names,
             checkpoint_dir=args.checkpoint_dir,

@@ -41,7 +41,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback: no locking
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, OptionError
 from ..permute.base import PermutationGenerator
 from ..stats.base import TestStatistic
 from .kernel import (
@@ -60,6 +60,7 @@ __all__ = [
     "CheckpointStore",
     "CachedResult",
     "ResultCache",
+    "check_cache",
     "run_kernel_resumable",
 ]
 
@@ -135,6 +136,28 @@ def result_cache_key(dataset_fp: str, options: MaxTOptions) -> str:
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
+def _write_npz(directory: Path, path: Path, **arrays) -> None:
+    """Write ``arrays`` to ``path`` atomically (write-to-temp + rename).
+
+    A crash mid-write leaves at most a stray ``.tmp`` file, never a
+    half-written ``path`` that a later load would trust.
+    """
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _json_bytes(record: dict) -> np.ndarray:
+    """A JSON record as the uint8 array an npz entry stores."""
+    return np.frombuffer(json.dumps(record).encode(), dtype=np.uint8)
+
+
 @dataclass
 class _CheckpointState:
     """What a checkpoint file holds."""
@@ -157,23 +180,14 @@ class CheckpointStore:
     def save(self, fingerprint: str, position: int,
              counts: KernelCounts) -> None:
         """Atomically persist progress (write-to-temp + rename)."""
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    fingerprint=np.frombuffer(
-                        fingerprint.encode(), dtype=np.uint8),
-                    position=np.int64(position),
-                    raw=counts.raw,
-                    adjusted=counts.adjusted,
-                    nperm=np.int64(counts.nperm),
-                )
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_npz(
+            self.directory, self.path,
+            fingerprint=np.frombuffer(fingerprint.encode(), dtype=np.uint8),
+            position=np.int64(position),
+            raw=counts.raw,
+            adjusted=counts.adjusted,
+            nperm=np.int64(counts.nperm),
+        )
         self.saves += 1
 
     def load(self, fingerprint: str) -> _CheckpointState | None:
@@ -309,24 +323,15 @@ class ResultCache:
         record["nperm"] = int(nperm)
         path = self._path(key, nperm)
         with self._dir_lock(exclusive=False):
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(
-                        fh,
-                        key=np.frombuffer(key.encode(), dtype=np.uint8),
-                        nperm=np.int64(nperm),
-                        teststat=np.asarray(teststat),
-                        raw=np.asarray(counts.raw),
-                        adjusted=np.asarray(counts.adjusted),
-                        meta=np.frombuffer(
-                            json.dumps(record).encode(), dtype=np.uint8),
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            _write_npz(
+                self.directory, path,
+                key=np.frombuffer(key.encode(), dtype=np.uint8),
+                nperm=np.int64(nperm),
+                teststat=np.asarray(teststat),
+                raw=np.asarray(counts.raw),
+                adjusted=np.asarray(counts.adjusted),
+                meta=_json_bytes(record),
+            )
         self._auto_sweep()
         return path
 
@@ -344,20 +349,10 @@ class ResultCache:
         record.setdefault("created", time.time())
         path = self.directory / f"{kind}-{key}.npz"
         with self._dir_lock(exclusive=False):
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(
-                        fh,
-                        meta=np.frombuffer(
-                            json.dumps(record).encode(), dtype=np.uint8),
-                        **{name: np.asarray(a) for name, a in arrays.items()},
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
+            _write_npz(
+                self.directory, path, meta=_json_bytes(record),
+                **{name: np.asarray(a) for name, a in arrays.items()},
+            )
         self._auto_sweep()
         return path
 
@@ -523,6 +518,14 @@ class ResultCache:
         )
 
 
+def check_cache(cache) -> None:
+    """Reject a ``cache`` argument that is not a :class:`ResultCache`."""
+    if not isinstance(cache, ResultCache):
+        raise OptionError(
+            f"cache must be a ResultCache, got {cache!r} "
+            "(pass cache_dir= to cache in a directory)")
+
+
 def run_kernel_resumable(
     stat: TestStatistic,
     generator: PermutationGenerator,
@@ -538,7 +541,6 @@ def run_kernel_resumable(
     first_is_observed: bool | None = None,
     fail_after: int | None = None,
     engine=None,
-    engine_batch: int | None = None,
 ) -> KernelCounts:
     """Run the kernel over ``[start, start + count)`` with checkpointing.
 
@@ -573,8 +575,7 @@ def run_kernel_resumable(
         counts = KernelCounts.zeros(observed.m)
 
     # One workspace serves every checkpoint interval of this problem.
-    workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine,
-                                         engine_batch=engine_batch)
+    workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine)
     processed_now = 0
     while done < count:
         step = min(interval, count - done)
@@ -585,8 +586,7 @@ def run_kernel_resumable(
                     stat, generator, observed, side,
                     start=start + done, count=step, chunk_size=chunk_size,
                     first_is_observed=first_is_observed and done == 0,
-                    workspace=workspace,
-                    engine=engine, engine_batch=engine_batch,
+                    workspace=workspace, engine=engine,
                 )
                 counts += piece
                 done += step
@@ -598,8 +598,7 @@ def run_kernel_resumable(
             stat, generator, observed, side,
             start=start + done, count=step, chunk_size=chunk_size,
             first_is_observed=first_is_observed and done == 0,
-            workspace=workspace,
-            engine=engine, engine_batch=engine_batch,
+            workspace=workspace, engine=engine,
         )
         counts += piece
         done += step

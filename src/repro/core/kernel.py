@@ -9,11 +9,15 @@ The counts are plain sums over permutations, so per-block results combine
 by elementwise addition — how the master folds every rank's contribution
 into the world totals (Steps 4–5 of the paper's parallel algorithm).
 
-Permutations are processed in batches (default 64): the generator emits a
-``(nb, width)`` encoding block, the statistic scores it with a handful of
-GEMMs, and the successive-maxima/counting step is pure vectorized NumPy.
-Batching is the main optimization over the paper's one-permutation-at-a-time
-C loop and is what lets a NumPy implementation approach compiled speed.
+Permutations are processed in batches (default 64): the statistic scores
+an ``(nb, width)`` encoding block with a handful of GEMMs, and the
+successive-maxima/counting step is pure vectorized NumPy.  Batching is the
+main optimization over the paper's one-permutation-at-a-time C loop and is
+what lets a NumPy implementation approach compiled speed.  The encodings
+themselves are prefilled by ``generator.take_batch`` in super-batches of
+:data:`DEFAULT_ENGINE_BATCH` rows (one keystream pass + one batched sort for
+many scoring batches), for every generator kind; the scoring loop reads
+leading slices of the prefilled block.
 
 Workspace discipline
 --------------------
@@ -65,7 +69,8 @@ from .adjust import side_adjust, significance_order, successive_maxima
 
 __all__ = ["KernelCounts", "KernelWorkspace", "ObservedScores",
            "compute_observed", "run_kernel", "DEFAULT_CHUNK",
-           "TIE_TOLERANCE", "TIE_TOLERANCE_F32", "tie_tolerance"]
+           "DEFAULT_ENGINE_BATCH", "TIE_TOLERANCE", "TIE_TOLERANCE_F32",
+           "tie_tolerance"]
 
 #: Default permutation batch size for the vectorized kernel.  64 keeps the
 #: per-batch working set (~a dozen ``m x 64`` matrices) inside the outer
@@ -73,6 +78,11 @@ __all__ = ["KernelCounts", "KernelWorkspace", "ObservedScores",
 #: ``benchmarks/bench_kernel_hotpath.py`` show larger chunks *lose* time to
 #: cache misses once ``m`` is in the thousands.
 DEFAULT_CHUNK: int = 64
+
+#: Rows per encoding super-batch: the kernel prefills this many encodings
+#: per ``generator.take_batch`` call so the keystream sort pipeline
+#: amortises its per-call setup over many scoring batches.
+DEFAULT_ENGINE_BATCH: int = 4096
 
 #: Relative tolerance for the ``permuted >= observed`` counting comparison.
 #:
@@ -152,17 +162,13 @@ class KernelWorkspace:
     dtype:
         Compute dtype of the statistic this workspace will partner.
     engine:
-        Optional :class:`~repro.accel.base.ArrayOps` compute engine.  The
-        statistic pool binds to it (GEMMs run on its arrays) and the
-        encoding buffer grows to an engine super-batch so batched
-        keystream sorts amortise their setup.
-    engine_batch:
-        Rows per engine super-batch; defaults to the engine's own
-        ``batch_rows``.  Ignored without an engine.
+        Optional :class:`~repro.accel.base.ArrayOps` scoring engine; the
+        statistic pool binds to it (GEMMs run on its arrays).  ``None``
+        is the numpy reference engine.
     """
 
     def __init__(self, m: int, width: int, chunk_size: int,
-                 dtype=np.float64, engine=None, engine_batch: int | None = None):
+                 dtype=np.float64, engine=None):
         if chunk_size <= 0:
             raise PermutationError(
                 f"chunk_size must be positive, got {chunk_size}")
@@ -170,51 +176,38 @@ class KernelWorkspace:
         self.width = int(width)
         self.chunk_size = int(chunk_size)
         self.dtype = np.dtype(dtype)
-        self.engine = engine
-        if engine is None:
-            self.engine_batch = 0
-            enc_rows = self.chunk_size
-        else:
-            rows = engine.batch_rows if engine_batch is None else int(engine_batch)
-            self.engine_batch = max(rows, self.chunk_size)
-            enc_rows = self.engine_batch
-        #: Encoding buffer handed to ``generator.take_batch(out=...)``.
-        self.enc = np.empty((enc_rows, self.width), dtype=np.int64)
+        #: Encoding buffer handed to ``generator.take_batch(out=...)``:
+        #: one super-batch, never shorter than a scoring batch.
+        self.enc = np.empty((max(DEFAULT_ENGINE_BATCH, self.chunk_size),
+                             self.width), dtype=np.int64)
         #: Named statistic scratch pool threaded through ``stat.batch``.
         self.pool = WorkBuffers(engine)
+        #: The scoring engine (the numpy reference when none was given).
+        self.engine = self.pool.ops
         #: Host landing buffer for engine-native score batches.  Needed
         #: whenever the pool's arrays are not plain ndarrays (torch-CPU
         #: included), since the counting step below is host NumPy.
         self.host_scores = (
             np.empty((self.m, self.chunk_size), dtype=self.dtype)
-            if engine is not None and engine.xp is not np else None)
+            if self.engine.xp is not np else None)
         self._ordered = np.empty((self.m, self.chunk_size), dtype=self.dtype)
         self._flags = np.empty((self.m, self.chunk_size), dtype=bool)
 
     @classmethod
     def for_stat(cls, stat: TestStatistic, chunk_size: int = DEFAULT_CHUNK,
-                 engine=None,
-                 engine_batch: int | None = None) -> "KernelWorkspace":
+                 engine=None) -> "KernelWorkspace":
         """A workspace matching one bound statistic's problem shape."""
         return cls(stat.m, stat.width, chunk_size, stat.compute_dtype,
-                   engine=engine, engine_batch=engine_batch)
+                   engine=engine)
 
     def compatible_with(self, stat: TestStatistic, chunk_size: int,
-                        engine=None, engine_batch: int | None = None) -> bool:
+                        engine=None) -> bool:
         """Whether this workspace can serve ``stat`` at ``chunk_size``."""
-        if not (self.m == stat.m and self.width == stat.width
+        theirs = "numpy" if engine is None else engine.name
+        return (self.m == stat.m and self.width == stat.width
                 and self.chunk_size >= chunk_size
-                and self.dtype == stat.compute_dtype):
-            return False
-        mine = None if self.engine is None else self.engine.name
-        theirs = None if engine is None else engine.name
-        if mine != theirs:
-            return False
-        if engine is not None:
-            rows = engine.batch_rows if engine_batch is None else int(engine_batch)
-            if self.engine_batch < max(rows, chunk_size):
-                return False
-        return True
+                and self.dtype == stat.compute_dtype
+                and self.engine.name == theirs)
 
     def ordered(self, nb: int) -> np.ndarray:
         """The ``(m, nb)`` ordered-scores buffer for one batch."""
@@ -280,13 +273,16 @@ def run_kernel(
     first_is_observed: bool | None = None,
     workspace: KernelWorkspace | None = None,
     engine=None,
-    engine_batch: int | None = None,
 ) -> KernelCounts:
     """Accumulate maxT counts over permutations ``[start, start + count)``.
 
     The generator is reset and *forwarded* (``skip``) to ``start`` — the
     operation the paper added to the serial generators' interface — and then
-    consumed in batches.
+    consumed in super-batches of :data:`DEFAULT_ENGINE_BATCH` rows, each
+    scored in ``chunk_size`` batches (a super-batch tail shorter than
+    ``chunk_size`` is scored as a short batch).  This is the one batch
+    loop for every generator kind: fixed-seed, stream, stored and
+    complete.
 
     Untestable rows (observed statistic undefined) are excluded from the
     null maxima: their permuted scores are forced to ``-inf`` so a broken
@@ -306,15 +302,11 @@ def run_kernel(
     so every caller gets the allocation-free batch loop.  Counts are
     bit-identical either way.
 
-    ``engine`` is an optional :class:`~repro.accel.base.ArrayOps` compute
-    engine (already resolved; see :func:`repro.accel.resolve_engine`).
-    When the generator is counter-based and the engine accelerates its
-    keystream family, encodings are prefilled in engine super-batches of
-    ``engine_batch`` rows (default: the engine's ``batch_rows``) and the
-    statistic GEMMs route through the engine's array namespace.  The
-    numpy engine performs the reference arithmetic, so its counts are
-    bit-identical to an engine-less run; device engines are bit-identical
-    on the permutation stream and tie-tolerance-equal on counts.
+    ``engine`` is an optional :class:`~repro.accel.base.ArrayOps` scoring
+    engine (already resolved; see :func:`repro.accel.resolve_engine`): the
+    statistic GEMMs route through its array namespace.  ``None`` is the
+    numpy engine, which performs the reference arithmetic; device engines
+    score the same encodings and are tie-tolerance-equal on counts.
     """
     if chunk_size <= 0:
         raise PermutationError(f"chunk_size must be positive, got {chunk_size}")
@@ -343,14 +335,9 @@ def run_kernel(
     generator.skip(start)
 
     if workspace is None or not workspace.compatible_with(
-            stat, chunk_size, engine=engine, engine_batch=engine_batch):
-        workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine,
-                                             engine_batch=engine_batch)
+            stat, chunk_size, engine=engine):
+        workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine)
     ops = workspace.engine
-    # Always (re)attach so a generator shared across calls cannot keep a
-    # stale engine; attach returns False for stream/stored generators.
-    attach = getattr(generator, "attach_engine", None)
-    accelerated = bool(attach(ops)) if attach is not None else False
 
     order = observed.order
     untestable = observed.untestable
@@ -365,30 +352,25 @@ def run_kernel(
     threshold = threshold.astype(stat.compute_dtype, copy=False)
     threshold_ordered = threshold[order]                    # significance order
 
-    # Engine super-batches: prefill many chunks' encodings with one
-    # fill_encodings call (one keystream pass + one batched sort), then
-    # serve the scoring loop leading slices of the prefetched block.
-    superbatch = workspace.engine_batch if accelerated else 0
-    enc_source: np.ndarray | None = None
+    # Super-batches: prefill many chunks' encodings with one take_batch
+    # call, then serve the scoring loop leading slices of the block.
+    superbatch = workspace.enc.shape[0]
+    enc_source = workspace.enc
     enc_off = enc_avail = 0
 
     remaining = count
     while remaining > 0:
-        nb = min(chunk_size, remaining)
-        if superbatch:
-            if enc_avail == 0:
-                fill = min(superbatch, remaining)
-                enc_source = generator.take_batch(fill, out=workspace.enc)
-                enc_off, enc_avail = 0, fill
-            # A super-batch that is not a multiple of chunk_size leaves a
-            # short tail; serve it as a short chunk rather than reading
-            # past the prefetched rows.
-            nb = min(nb, enc_avail)
-            enc = enc_source[enc_off:enc_off + nb]
-            enc_off += nb
-            enc_avail -= nb
-        else:
-            enc = generator.take_batch(nb, out=workspace.enc)
+        if enc_avail == 0:
+            enc_avail = min(superbatch, remaining)
+            enc_source = generator.take_batch(enc_avail, out=workspace.enc)
+            enc_off = 0
+        # A super-batch that is not a multiple of chunk_size leaves a
+        # short tail; serve it as a short chunk rather than reading past
+        # the prefilled rows.
+        nb = min(chunk_size, enc_avail)
+        enc = enc_source[enc_off:enc_off + nb]
+        enc_off += nb
+        enc_avail -= nb
         perm_stats = stat.batch(enc, work=workspace.pool)   # (m, nb)
         if workspace.host_scores is not None:
             perm_stats = ops.to_host(perm_stats,

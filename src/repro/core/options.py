@@ -67,13 +67,11 @@ class MaxTOptions:
     #: Compute dtype of the statistic kernels ("float64" default;
     #: "float32" is the opt-in fast mode).
     dtype: str = "float64"
-    #: Compute engine name ("auto" picks the best this host can drive;
+    #: Scoring engine name ("auto" picks the best this host can drive;
     #: see :mod:`repro.accel`).  Never enters result-cache keys or
-    #: checkpoint fingerprints: permutation streams are bit-identical
-    #: across engines and counts int64-exact.
+    #: checkpoint fingerprints: permutation streams do not depend on the
+    #: engine and counts are int64-exact.
     engine: str = "auto"
-    #: Rows per engine super-batch (0 = the engine's own default).
-    engine_batch: int = 0
     #: Resolved total permutation count including the observed labelling
     #: (filled in by :func:`validate_options`).
     nperm: int = 0
@@ -106,7 +104,6 @@ def validate_options(
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
     engine: str = "auto",
-    engine_batch: int = 0,
 ) -> MaxTOptions:
     """Validate the R-style options and resolve the permutation plan.
 
@@ -148,11 +145,6 @@ def validate_options(
     from ..accel import resolve_engine
 
     resolve_engine(str(engine))
-    if not isinstance(engine_batch, (int, np.integer)) \
-            or isinstance(engine_batch, bool) or engine_batch < 0:
-        raise OptionError(
-            f"engine_batch must be a non-negative integer "
-            f"(0 = engine default), got {engine_batch!r}")
 
     nperm, complete = resolve_permutation_count(
         test, classlabel, int(B), limit=complete_limit
@@ -170,7 +162,6 @@ def validate_options(
         complete_limit=int(complete_limit),
         dtype=str(dtype),
         engine=str(engine),
-        engine_batch=int(engine_batch),
         nperm=nperm,
         complete=complete,
         store=store,

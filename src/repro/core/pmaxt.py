@@ -101,7 +101,7 @@ _DTYPE_CODES = {"float64": 0, "float32": 1}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 # Engine names travel as scalar codes too; a custom-registered engine
 # (no code) falls back to its literal name on the wire.
-_ENGINE_CODES = {"auto": 0, "numpy": 1, "torch": 2, "cupy": 3}
+_ENGINE_CODES = {"auto": 0, "numpy": 1, "torch": 2}
 _ENGINE_NAMES = {v: k for k, v in _ENGINE_CODES.items()}
 
 
@@ -122,7 +122,6 @@ def _pack_options(o: MaxTOptions) -> tuple:
         1 if o.store else 0,
         _DTYPE_CODES[o.dtype],
         _ENGINE_CODES.get(o.engine, o.engine),
-        o.engine_batch,
     )
 
 
@@ -144,7 +143,6 @@ def _unpack_options(t: tuple) -> MaxTOptions:
         store=bool(t[11]),
         dtype=_DTYPE_NAMES[t[12]],
         engine=_ENGINE_NAMES[engine] if isinstance(engine, int) else engine,
-        engine_batch=int(t[14]),
     )
 
 
@@ -240,7 +238,6 @@ def pmaxT(
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
     engine: str = "auto",
-    engine_batch: int = 0,
     blas_threads: int | None = None,
     row_names: list[str] | None = None,
     checkpoint_dir: str | None = None,
@@ -265,8 +262,9 @@ def pmaxT(
     only the new permutations ``[B_old, B_new)`` — bit-identical to a
     cold run at ``B_new``, because permutation ``k`` of the
     counter-based generators is independent of the total count.
-    Resolution order: ``cache`` (a ResultCache object) > ``cache_dir`` >
-    the session's cache (``open_session(..., cache_dir=...)``).  The raw
+    Resolution order: ``cache`` (a ResultCache object; anything else is
+    an :class:`~repro.errors.OptionError`) > ``cache_dir`` > the session's
+    cache (``open_session(..., cache_dir=...)``).  The raw
     SPMD path (``comm=``) bypasses the cache: every rank is inside the
     world there, so no single rank can orchestrate lookups.
 
@@ -287,15 +285,19 @@ def pmaxT(
     permutations-per-block granularity (default 256).  Neither knob
     enters the result-cache key, for exactly that reason.
 
-    ``engine`` picks the array-module compute engine for the hot path
-    (see :mod:`repro.accel`): ``"auto"`` (default) resolves to the best
-    engine the host can drive — a CUDA-backed ``cupy``/``torch`` when
-    present, the bit-identical batched ``numpy`` reference otherwise.
-    ``engine_batch`` sets the rows per engine super-batch (0 = the
-    engine's default).  Like the schedule, the engine never enters the
-    result-cache key: permutation streams are bit-identical across
-    engines and counts int64-exact.
+    ``engine`` picks the array-module engine that scores the permutation
+    batches (see :mod:`repro.accel`): ``"auto"`` (default) resolves to
+    the best engine the host can drive — a CUDA-backed ``torch`` when
+    present, the bit-identical ``numpy`` reference otherwise.  The
+    permutations themselves always come from the generators' host numpy
+    pipeline.  Like the schedule, the engine never enters the result-cache
+    key: permutation streams do not depend on it and counts are
+    int64-exact.
     """
+    from .checkpoint import check_cache
+
+    if cache is not None:
+        check_cache(cache)
     if isinstance(X, PublishedDataset) and classlabel is None:
         classlabel = X.labels
     resolved_cache = cache
@@ -309,7 +311,7 @@ def pmaxT(
         test=test, side=side, fixed_seed_sampling=fixed_seed_sampling,
         B=B, na=na, nonpara=nonpara, seed=seed, chunk_size=chunk_size,
         complete_limit=complete_limit, dtype=dtype,
-        engine=engine, engine_batch=engine_batch,
+        engine=engine,
         blas_threads=blas_threads, row_names=row_names,
         checkpoint_dir=checkpoint_dir,
         checkpoint_interval=checkpoint_interval,
@@ -376,7 +378,6 @@ def _validated_options(classlabel, run_kwargs) -> MaxTOptions:
         complete_limit=run_kwargs["complete_limit"],
         dtype=run_kwargs["dtype"],
         engine=run_kwargs["engine"],
-        engine_batch=run_kwargs["engine_batch"],
     )
 
 
@@ -396,22 +397,22 @@ def lookup_cached(
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
     engine: str = "auto",
-    engine_batch: int = 0,
     row_names: list[str] | None = None,
 ) -> MaxTResult | None:
     """Answer a pmaxT call from ``cache`` alone, or return ``None``.
 
     The exact-hit half of the cache orchestration, exposed so a service
     front-end can short-circuit an identical repeated analysis without
-    occupying a worker pool: on a hit the rebuilt
+    taking a worker pool: on a hit the rebuilt
     :class:`~repro.core.result.MaxTResult` is bit-identical to what
     :func:`pmaxT` would return (and ``cache.hits`` is bumped); a miss or
     a partial entry (smaller cached ``B``) returns ``None`` and leaves
     the counters alone — route those through :func:`pmaxT`, which also
     handles the incremental extension.
     """
-    from .checkpoint import result_cache_key
+    from .checkpoint import check_cache, result_cache_key
 
+    check_cache(cache)
     if isinstance(X, PublishedDataset) and classlabel is None:
         classlabel = X.labels
     if X is None or classlabel is None:
@@ -420,8 +421,7 @@ def lookup_cached(
         classlabel, test=test, side=side,
         fixed_seed_sampling=fixed_seed_sampling, B=B, na=na,
         nonpara=nonpara, seed=seed, chunk_size=chunk_size,
-        complete_limit=complete_limit, dtype=dtype,
-        engine=engine, engine_batch=engine_batch,
+        complete_limit=complete_limit, dtype=dtype, engine=engine,
     )
     key = result_cache_key(_dataset_fp_for(X, classlabel), options)
     entry = cache.lookup(key, options.nperm)
@@ -499,22 +499,19 @@ def _resolve_run_engine(options: MaxTOptions):
 
     Under a persistent session each rank keeps one
     :class:`~repro.accel.base.ArrayOps` instance warm across whole pmaxT
-    calls (engines hold reusable sort scratch and, on device engines,
-    cached constant uploads); outside a session a fresh instance is built
-    per call.  The cache is keyed by the *requested* spec so switching
-    ``engine=`` or ``engine_batch=`` between calls re-resolves.
+    calls (device engines cache constant uploads); outside a session a
+    fresh instance is built per call.  The cache is keyed by the
+    *requested* name so switching ``engine=`` between calls re-resolves.
     """
     from ..accel import resolve_engine
 
-    batch = options.engine_batch or None
     cache = resident_cache()
     if cache is None:
-        return resolve_engine(options.engine, batch_rows=batch)
-    spec = (options.engine, batch)
+        return resolve_engine(options.engine)
     resident = cache.get("compute_engine")
-    if resident is None or resident[0] != spec:
-        cache["compute_engine"] = (spec, resolve_engine(options.engine,
-                                                        batch_rows=batch))
+    if resident is None or resident[0] != options.engine:
+        cache["compute_engine"] = (options.engine,
+                                   resolve_engine(options.engine))
     return cache["compute_engine"][1]
 
 
@@ -532,9 +529,8 @@ def _published_rank_wire(options: MaxTOptions) -> bool:
             and not getattr(cls, "_rank_based", False))
 
 
-def _resident_workspace(stat, chunk_size: int, engine=None,
-                        engine_batch: int | None = None
-                        ) -> KernelWorkspace | None:
+def _resident_workspace(stat, chunk_size: int,
+                        engine=None) -> KernelWorkspace | None:
     """This rank's session-resident kernel workspace, if one is available.
 
     Under a persistent session each rank keeps one
@@ -547,10 +543,8 @@ def _resident_workspace(stat, chunk_size: int, engine=None,
         return None
     workspace = cache.get("kernel_workspace")
     if not (isinstance(workspace, KernelWorkspace)
-            and workspace.compatible_with(stat, chunk_size, engine=engine,
-                                          engine_batch=engine_batch)):
-        workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine,
-                                             engine_batch=engine_batch)
+            and workspace.compatible_with(stat, chunk_size, engine=engine)):
+        workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine)
         cache["kernel_workspace"] = workspace
     return workspace
 
@@ -578,13 +572,12 @@ def _run_blocks(comm, options: MaxTOptions, data, labels, stat, observed,
     # generators seek to any permutation index, so one serves every block.
     generator = None if options.store else build_generator(options, labels)
     ops = _resolve_run_engine(options)
-    engine_batch = options.engine_batch or None
     # Under a session, each rank owns a resident KernelWorkspace that
     # survives across pmaxT calls (counts are bit-identical with or
     # without one — pinned by tests).  The checkpoint driver manages its
     # own workspace, so nothing is parked in the cache on that path.
     workspace = None if checkpoint_dir is not None else _resident_workspace(
-        stat, options.chunk_size, engine=ops, engine_batch=engine_batch)
+        stat, options.chunk_size, engine=ops)
     delay = injected_delay(comm.rank)
 
     def compute_block(block):
@@ -598,7 +591,7 @@ def _run_blocks(comm, options: MaxTOptions, data, labels, stat, observed,
         kernel_args = dict(start=start, count=block.count,
                            chunk_size=options.chunk_size,
                            first_is_observed=(block.start == 0),
-                           engine=ops, engine_batch=engine_batch)
+                           engine=ops)
         if checkpoint_dir is None:
             counts = run_kernel(stat, gen, observed, options.side,
                                 workspace=workspace, **kernel_args)
@@ -694,7 +687,6 @@ def _pmaxt_run(
     complete_limit: int = DEFAULT_COMPLETE_LIMIT,
     dtype: str = "float64",
     engine: str = "auto",
-    engine_batch: int = 0,
     blas_threads: int | None = None,
     row_names: list[str] | None = None,
     checkpoint_dir: str | None = None,
@@ -763,7 +755,7 @@ def _pmaxt_run(
                 fixed_seed_sampling=fixed_seed_sampling, B=B, na=na,
                 nonpara=nonpara, comm=world_comm, seed=seed,
                 chunk_size=chunk_size, complete_limit=complete_limit,
-                dtype=dtype, engine=engine, engine_batch=engine_batch,
+                dtype=dtype, engine=engine,
                 row_names=row_names,
                 checkpoint_dir=checkpoint_dir,
                 checkpoint_interval=checkpoint_interval,
@@ -822,7 +814,6 @@ def _pmaxt_run(
                 complete_limit=complete_limit,
                 dtype=dtype,
                 engine=engine,
-                engine_batch=engine_batch,
             )
             if handle is not None:
                 # Published dataset: resolve the variant whose bytes

@@ -64,6 +64,9 @@ def lookup_cached_pcor(cache, X, Y=None, *, use: str = "everything",
     ``cache.hits``; a miss returns ``None`` and leaves the counters
     alone, so the caller routes the request through :func:`pcor`.
     """
+    from ..core.checkpoint import check_cache
+
+    check_cache(cache)
     entry = cache.lookup_array("pcor", _pcor_key_for(X, Y, use=use, na=na))
     if entry is None:
         return None
@@ -133,10 +136,12 @@ def pcor(X=None, Y=None, *, use: str = "everything",
     engine is the bit-identical reference and device engines agree
     within floating-point tolerance.
     """
+    from ..core.checkpoint import ResultCache, check_cache
+
+    if cache is not None:
+        check_cache(cache)
     resolved_cache = cache
     if resolved_cache is None and cache_dir is not None:
-        from ..core.checkpoint import ResultCache
-
         resolved_cache = ResultCache(cache_dir)
     if resolved_cache is None and session is not None:
         resolved_cache = session.cache

@@ -66,7 +66,9 @@ buffers instead of reallocating them.  Outside a session it returns
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
+import numbers
 import os
 import pickle
 import queue as queue_mod
@@ -381,8 +383,19 @@ class BackendSession(ABC):
         first (ties in submission order), on the session's dispatcher
         thread.  ``timeout`` bounds the job's execution (collectives and
         result collection), not the wait for its turn; pass a timeout to
-        :meth:`JobFuture.result` to bound the wait as well.
+        :meth:`JobFuture.result` to bound the wait as well.  It must be
+        ``None`` or a positive, finite number of seconds
+        (:class:`~repro.errors.OptionError` otherwise).
         """
+        if timeout is not None and not (
+            isinstance(timeout, numbers.Real)
+            and not isinstance(timeout, bool)
+            and 0 < timeout < math.inf
+        ):
+            raise OptionError(
+                f"timeout must be a positive, finite number of seconds or "
+                f"None, got {timeout!r}"
+            )
         self._assert_open()
         with self._submit_lock:
             self._assert_open()

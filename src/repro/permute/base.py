@@ -20,6 +20,12 @@ permutations owned by ranks ``0 .. r-1`` so the union of all ranks' work is
 exactly the serial permutation sequence.  Counter-based and unranking-based
 generators skip in O(1); sequential-stream generators skip by drawing and
 discarding, exactly like the forwarded C generators described in the paper.
+
+Every generator produces its encodings itself, through :meth:`take_batch`;
+the kernel asks for them in super-batches of many scoring chunks.  The
+fixed-seed random generators fill those batches through their own host
+:class:`~repro.accel.numpy_engine.NumpyEngine` (see
+:mod:`repro.permute.random_gen`); compute engines only score them.
 """
 
 from __future__ import annotations
@@ -122,7 +128,8 @@ class PermutationGenerator(ABC):
         """Return the next ``count`` encodings as a ``(count, width)`` matrix.
 
         The batch form feeds the vectorized statistic kernels, which evaluate
-        a whole chunk of permutations with one BLAS call.  Subclasses with a
+        a whole chunk of permutations with one BLAS call; the kernel asks
+        for a super-batch of many chunks at once.  Subclasses with a
         vectorized ``_fill_batch`` (all the random generators) produce the
         whole batch in a handful of array operations; the default fills a
         contiguous buffer row by row (no intermediate row list is built).
@@ -161,28 +168,6 @@ class PermutationGenerator(ABC):
         batch = self._fill_batch(view, count)
         self._position += count
         return batch
-
-    # -- compute-engine hooks -------------------------------------------------
-
-    def keystream_spec(self):
-        """Describe this generator's fixed-seed keystream, if it has one.
-
-        Counter-based generators return a
-        :class:`repro.accel.base.KeystreamSpec` so a compute engine can
-        reproduce their batches from raw Philox keys; stream and stored
-        generators return ``None``.
-        """
-        return None
-
-    def attach_engine(self, ops) -> bool:
-        """Route batched fixed-seed draws through a compute engine.
-
-        Returns ``True`` when the engine was attached (this generator is
-        counter-based and ``ops`` accelerates its keystream family).
-        ``attach_engine(None)`` detaches.  The default — stream and stored
-        generators — ignores the engine and returns ``False``.
-        """
-        return False
 
     # -- subclass hooks -------------------------------------------------------
 

@@ -114,7 +114,7 @@ def count_block(classlabel) -> int:
     """Complete count for block designs: ``(k!) ** nblocks``.
 
     The block layout follows ``multtest``: ``n = nblocks * k`` samples, block
-    ``i`` occupying columns ``i*k .. (i+1)*k - 1``, and the labels within
+    ``i`` spanning columns ``i*k .. (i+1)*k - 1``, and the labels within
     every block being a permutation of ``0..k-1`` (one observation per
     treatment per block).
     """

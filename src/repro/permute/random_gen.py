@@ -10,7 +10,11 @@
     keyed by a counter-based bit generator (:mod:`repro.permute.keystream`):
     index ``i`` owns a fixed block of the counter space, so a batch of
     consecutive indices is generated with a handful of array operations and
-    is bit-identical to generating its rows one at a time.
+    is bit-identical to generating its rows one at a time.  Each generator
+    owns a host :class:`~repro.accel.numpy_engine.NumpyEngine` that fills
+    every batch, and every single :meth:`at` row, with the fast value-packed
+    sort — bit-identical to the :mod:`~repro.permute.keystream` reference
+    functions, which remain the specification.
 
 ``"n"`` — *sequential stream*:
     a single RNG stream produces permutations in order; forwarding a
@@ -37,8 +41,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..accel.numpy_engine import KeystreamSpec, NumpyEngine
 from ..errors import PermutationError
-from . import keystream
 from .base import PermutationGenerator
 
 __all__ = [
@@ -60,20 +64,25 @@ _SKIP_BATCH: int = 1024
 class _RandomBase(PermutationGenerator):
     """Shared draw/skip plumbing for the three random generators.
 
-    Subclasses provide four hooks: the observed encoding, a single draw
-    from a stream RNG, a batched draw from a stream RNG (must consume the
-    stream identically to repeated single draws), and a batched fixed-seed
-    draw for a run of consecutive indices.
+    Subclasses describe their fixed-seed keystream family with a
+    :class:`~repro.accel.numpy_engine.KeystreamSpec` (passed to this
+    constructor) and provide three stream-mode hooks: the observed
+    encoding, a single draw from a stream RNG, and a batched draw from a
+    stream RNG (must consume the stream identically to repeated single
+    draws).
     """
 
-    def __init__(self, nperm: int, width: int, seed: int, fixed_seed: bool):
+    def __init__(self, nperm: int, width: int, seed: int, fixed_seed: bool,
+                 spec: KeystreamSpec):
         super().__init__(nperm, width)
         self.seed = int(seed)
         self.fixed_seed = bool(fixed_seed)
         self.supports_random_access = self.fixed_seed
         self._stream = None if self.fixed_seed else np.random.default_rng(self.seed)
-        self._engine = None
-        self._spec = None
+        # Fixed-seed rows come from this generator's own host engine
+        # (engine scratch is single-threaded state, so never shared).
+        self._spec = spec
+        self._engine = NumpyEngine() if self.fixed_seed else None
 
     # -- family hooks ---------------------------------------------------------
 
@@ -93,30 +102,6 @@ class _RandomBase(PermutationGenerator):
         """
         raise NotImplementedError
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        """Fixed-seed resamples for indices ``[start, start + count)``."""
-        raise NotImplementedError
-
-    def _make_spec(self):
-        """The family's :class:`~repro.accel.base.KeystreamSpec`."""
-        raise NotImplementedError
-
-    # -- compute-engine routing -----------------------------------------------
-
-    def keystream_spec(self):
-        if not self.fixed_seed:
-            return None
-        if self._spec is None:
-            self._spec = self._make_spec()
-        return self._spec
-
-    def attach_engine(self, ops) -> bool:
-        if ops is not None and ops.accelerates(self.keystream_spec()):
-            self._engine = ops
-            return True
-        self._engine = None
-        return False
-
     # -- generator plumbing ---------------------------------------------------
 
     def reset(self) -> None:
@@ -129,7 +114,9 @@ class _RandomBase(PermutationGenerator):
             return self._observed()
         if not self.fixed_seed:  # pragma: no cover - guarded by base class
             raise PermutationError("sequential stream has no random access")
-        return self._draw_indexed(index, 1)[0]
+        row = np.empty((1, self.width), dtype=np.int64)
+        self._engine.fill_encodings(self._spec, index, 1, row)
+        return row[0]
 
     def _next(self) -> np.ndarray:
         if self.fixed_seed:
@@ -146,15 +133,8 @@ class _RandomBase(PermutationGenerator):
             filled = 1
         if count > filled:
             if self.fixed_seed:
-                if self._engine is not None:
-                    # Engine path: bit-identical by the keystream contract
-                    # (same Philox keys, any correct sort), filled in place.
-                    self._engine.fill_encodings(self._spec, pos + filled,
-                                                count - filled,
-                                                out[filled:count])
-                else:
-                    out[filled:count] = self._draw_indexed(pos + filled,
-                                                           count - filled)
+                self._engine.fill_encodings(self._spec, pos + filled,
+                                            count - filled, out[filled:count])
             else:
                 out[filled:count] = self._draw_stream_batch(self._stream,
                                                             count - filled)
@@ -187,9 +167,11 @@ class RandomLabelShuffle(_RandomBase):
         labels = np.asarray(classlabel, dtype=np.int64)
         if labels.ndim != 1:
             raise PermutationError("classlabel must be a 1-D vector")
-        super().__init__(nperm, labels.size, seed, fixed_seed)
         self._labels = labels.copy()
         self._labels.flags.writeable = False
+        super().__init__(nperm, labels.size, seed, fixed_seed,
+                         KeystreamSpec("labels", seed, labels.size,
+                                       labels=self._labels))
 
     def _observed(self) -> np.ndarray:
         return self._labels.copy()
@@ -203,15 +185,6 @@ class RandomLabelShuffle(_RandomBase):
         # stream exactly like `count` successive rng.permutation calls.
         return rng.permuted(np.tile(self._labels, (count, 1)), axis=1)
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        return keystream.label_permutations(self.seed, start, count,
-                                            self._labels)
-
-    def _make_spec(self):
-        from ..accel.base import KeystreamSpec
-
-        return KeystreamSpec("labels", self.seed, self.width,
-                             labels=self._labels)
 
 
 class RandomSigns(_RandomBase):
@@ -223,7 +196,8 @@ class RandomSigns(_RandomBase):
 
     def __init__(self, npairs: int, nperm: int, *, seed: int = DEFAULT_SEED,
                  fixed_seed: bool = True):
-        super().__init__(nperm, npairs, seed, fixed_seed)
+        super().__init__(nperm, npairs, seed, fixed_seed,
+                         KeystreamSpec("signs", seed, npairs))
 
     def _observed(self) -> np.ndarray:
         return np.ones(self.width, dtype=np.int64)
@@ -238,13 +212,6 @@ class RandomSigns(_RandomBase):
         draws = rng.integers(0, 2, size=(count, self.width), dtype=np.int64)
         return draws * 2 - 1
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        return keystream.sign_vectors(self.seed, start, count, self.width)
-
-    def _make_spec(self):
-        from ..accel.base import KeystreamSpec
-
-        return KeystreamSpec("signs", self.seed, self.width)
 
 
 class RandomBlockShuffle(_RandomBase):
@@ -264,11 +231,13 @@ class RandomBlockShuffle(_RandomBase):
             raise PermutationError(
                 f"block design needs n divisible by k; n={labels.size}, k={k}"
             )
-        super().__init__(nperm, labels.size, seed, fixed_seed)
         self.k = int(k)
         self.nblocks = labels.size // self.k
         self._blocks = labels.reshape(self.nblocks, self.k).copy()
         self._blocks.flags.writeable = False
+        super().__init__(nperm, labels.size, seed, fixed_seed,
+                         KeystreamSpec("blocks", seed, labels.size,
+                                       blocks=self._blocks))
 
     def _observed(self) -> np.ndarray:
         return self._blocks.reshape(-1).copy()
@@ -285,12 +254,3 @@ class RandomBlockShuffle(_RandomBase):
                         (count, 1, 1)).reshape(count * self.nblocks, self.k)
         return rng.permuted(tiled, axis=1).reshape(count, -1)
 
-    def _draw_indexed(self, start: int, count: int) -> np.ndarray:
-        return keystream.block_permutations(self.seed, start, count,
-                                            self._blocks)
-
-    def _make_spec(self):
-        from ..accel.base import KeystreamSpec
-
-        return KeystreamSpec("blocks", self.seed, self.width,
-                             blocks=self._blocks)

@@ -12,7 +12,7 @@ and schedules admitted jobs across them:
 * **Cache short-circuit** — with a ``cache_dir``, an exactly repeated
   pmaxT analysis is answered from the shared content-addressed
   :class:`~repro.core.checkpoint.ResultCache` at submission time, without
-  ever occupying a pool (and every pool session shares the same cache
+  ever taking a pool (and every pool session shares the same cache
   object, so pool-computed results populate it for later requests).
 * **Health + reroute** — a pool whose world crashes mid-job
   (:class:`~repro.errors.CommunicatorError`) is marked unhealthy and the

@@ -1,7 +1,7 @@
 """Block-adjusted F-statistic (``test = "blockf"``).
 
 Randomized complete block design: ``n = nblocks * k`` columns, block ``b``
-occupying columns ``b*k .. (b+1)*k - 1`` with each of the ``k`` treatments
+spanning columns ``b*k .. (b+1)*k - 1`` with each of the ``k`` treatments
 appearing exactly once per block.  The statistic is the two-way ANOVA F for
 the treatment effect after removing the block effect::
 

@@ -2,10 +2,11 @@
 
 The contract pinned here (see ``repro.accel``):
 
-* permutation encoding streams are **bit-identical** across engines — the
-  Philox keys are host-generated and unique, so any correct sort yields
-  the reference permutation;
-* kernel counts are int64-exact across engines for every statistic;
+* the generators' host numpy pipeline (``NumpyEngine.fill_encodings``)
+  is bit-identical to the ``repro.permute.keystream`` reference
+  functions, including on the inputs its packed sort cannot take;
+* kernel counts are int64-exact across scoring engines for every
+  statistic;
 * the numpy engine's scoring path is the reference arithmetic itself, so
   whole pmaxT results match the serial driver bit for bit;
 * a missing engine module fails fast with
@@ -13,9 +14,8 @@ The contract pinned here (see ``repro.accel``):
   any worker is involved), an unknown name with ``OptionError``.
 
 Engine-parametrised tests run for every engine importable on this host:
-numpy always, torch when installed (CPU is enough — the streams must be
-bit-identical there too).  CUDA-only engines are exercised by the same
-parametrisation on hosts that have them.
+numpy always, torch when installed (CPU is enough — counts must be exact
+there too).
 """
 
 from __future__ import annotations
@@ -35,12 +35,24 @@ from repro.accel import (
 )
 from repro.accel import _REGISTRY as _ENGINE_REGISTRY
 from repro.cli import build_parser
-from repro.core.kernel import KernelWorkspace, compute_observed, run_kernel
+from repro.core.kernel import (
+    DEFAULT_ENGINE_BATCH,
+    KernelWorkspace,
+    compute_observed,
+    run_kernel,
+)
 from repro.core.maxt import mt_maxT
 from repro.core.options import build_generator, build_statistic, validate_options
 from repro.corr import cor
 from repro.errors import EngineUnavailableError, OptionError
 from repro.mpi import open_session
+from repro.permute import (
+    RandomBlockShuffle,
+    RandomLabelShuffle,
+    RandomSigns,
+    StoredPermutations,
+    keystream,
+)
 
 #: Every engine this host can actually run, plus visible skips for the
 #: optional ones it cannot.
@@ -72,9 +84,8 @@ class TestResolveEngine:
 
     def test_auto_prefers_device_engines_else_numpy(self):
         ops = resolve_engine("auto")
-        has_device = any(_ENGINE_REGISTRY[n].module_available()
-                         and _ENGINE_REGISTRY[n].device_available()
-                         for n in ("cupy", "torch"))
+        has_device = (_ENGINE_REGISTRY["torch"].module_available()
+                      and _ENGINE_REGISTRY["torch"].device_available())
         if has_device:
             assert ops.is_device
         else:
@@ -84,7 +95,7 @@ class TestResolveEngine:
         assert type(resolve_engine(None)) is type(resolve_engine("auto"))
 
     def test_instance_passes_through(self):
-        ops = NumpyEngine(batch_rows=128)
+        ops = NumpyEngine()
         assert resolve_engine(ops) is ops
 
     def test_unknown_engine_is_option_error(self):
@@ -92,7 +103,7 @@ class TestResolveEngine:
             resolve_engine("fortran")
 
     def test_missing_module_is_engine_unavailable(self):
-        missing = [n for n in ("torch", "cupy")
+        missing = [n for n in ("torch",)
                    if not _ENGINE_REGISTRY[n].module_available()]
         if not missing:
             pytest.skip("every optional engine module is installed here")
@@ -108,14 +119,7 @@ class TestResolveEngine:
         assert "numpy" in available_engines()
 
     def test_engine_choices_cover_registry_defaults(self):
-        assert set(ENGINE_CHOICES) == {"auto", "numpy", "torch", "cupy"}
-
-    def test_batch_rows_reaches_the_engine(self):
-        assert resolve_engine("numpy", batch_rows=512).batch_rows == 512
-
-    def test_bad_batch_rows_rejected(self):
-        with pytest.raises(OptionError, match="engine_batch"):
-            resolve_engine("numpy", batch_rows=0)
+        assert set(ENGINE_CHOICES) == {"auto", "numpy", "torch"}
 
     def test_register_engine_plugs_into_resolution(self):
         class FakeEngine(NumpyEngine):
@@ -134,8 +138,7 @@ class TestResolveEngine:
             register_engine(dict)  # type: ignore[arg-type]
 
         class Nameless(ArrayOps):
-            def fill_encodings(self, spec, start, count, out):
-                raise NotImplementedError
+            pass
 
         with pytest.raises(OptionError, match="name"):
             register_engine(Nameless)
@@ -149,7 +152,7 @@ class TestOptionPlumbing:
 
     def test_validate_options_fails_fast_on_missing_module(
             self, small_two_class):
-        missing = [n for n in ("torch", "cupy")
+        missing = [n for n in ("torch",)
                    if not _ENGINE_REGISTRY[n].module_available()]
         if not missing:
             pytest.skip("every optional engine module is installed here")
@@ -157,76 +160,65 @@ class TestOptionPlumbing:
         with pytest.raises(EngineUnavailableError):
             validate_options(labels, engine=missing[0])
 
-    def test_negative_engine_batch_rejected(self, small_two_class):
-        _, labels, _ = small_two_class
-        with pytest.raises(OptionError, match="engine_batch"):
-            validate_options(labels, engine_batch=-1)
-
     def test_engine_never_enters_cache_or_checkpoint_keys(
             self, small_two_class):
         from repro.core.checkpoint import problem_fingerprint, result_cache_key
 
         X, labels, _ = small_two_class
         plain = validate_options(labels, B=200)
-        tuned = validate_options(labels, B=200, engine="numpy",
-                                 engine_batch=2048)
+        tuned = validate_options(labels, B=200, engine="numpy")
         assert result_cache_key("fp", plain) == result_cache_key("fp", tuned)
         assert problem_fingerprint(X, labels, plain, 0, 200) == \
             problem_fingerprint(X, labels, tuned, 0, 200)
 
     def test_cli_exposes_engine_flags(self):
         parser = build_parser()
-        args = parser.parse_args(
-            ["data.csv", "--engine", "numpy", "--engine-batch", "2048"])
+        args = parser.parse_args(["data.csv", "--engine", "numpy"])
         assert args.engine == "numpy"
-        assert args.engine_batch == 2048
 
 
 # -- encoding bit-identity --------------------------------------------------
 
 
-def _generator_pair(options, labels):
-    """(engine-attached, reference) generators over the same stream."""
-    return (build_generator(options, labels),
-            build_generator(options, labels))
+def _reference_rows(gen, start, count):
+    """Encodings ``[start, start + count)`` from the keystream reference."""
+    if isinstance(gen, RandomSigns):
+        return keystream.sign_vectors(gen.seed, start, count, gen.width)
+    if isinstance(gen, RandomBlockShuffle):
+        blocks = gen.at(0).reshape(gen.nblocks, gen.k)
+        return keystream.block_permutations(gen.seed, start, count, blocks)
+    return keystream.label_permutations(gen.seed, start, count, gen.at(0))
 
 
 class TestEncodingBitIdentity:
-    """Engine-filled encodings == reference keystream rows, bit for bit."""
+    """Generator batches == reference keystream rows, bit for bit."""
 
-    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
-    @pytest.mark.parametrize("test,labels", [
-        ("t", np.array([0] * 9 + [1] * 8)),
-        ("pairt", np.array([0, 1] * 14)),
-        ("blockf", np.tile(np.arange(3), 5)),
-    ])
-    def test_streams_match_reference(self, engine, test, labels):
-        ops = resolve_engine(engine, batch_rows=64)
-        options = validate_options(labels, test=test, B=700, seed=17)
-        accel, ref = _generator_pair(options, labels)
-        assert accel.attach_engine(ops) is True
-        # Windows chosen to straddle engine batch boundaries and end on
-        # an odd remainder.
+    @pytest.mark.parametrize("make", [
+        lambda: RandomLabelShuffle(np.array([0] * 9 + [1] * 8), 800, seed=17),
+        lambda: RandomSigns(14, 800, seed=17),
+        lambda: RandomBlockShuffle(np.tile(np.arange(3), 5), 3, 800, seed=17),
+        # Inputs the packed sort cannot take: label values past 16 bits,
+        # a single column, and k = 1 blocks (no adjacent pair to check).
+        lambda: RandomLabelShuffle(np.array([0, 1, 70_000] * 4), 800, seed=17),
+        lambda: RandomLabelShuffle(np.array([3]), 800, seed=17),
+        lambda: RandomBlockShuffle(np.zeros(6, dtype=int), 1, 800, seed=17),
+        lambda: RandomBlockShuffle(np.tile([0, 1, 1 << 20], 3), 3, 800,
+                                   seed=17),
+    ], ids=["labels", "signs", "blocks", "wide-labels", "one-column",
+            "k1-blocks", "wide-blocks"])
+    def test_streams_match_reference(self, make):
+        gen = make()
+        gen.skip(1)
+        # Windows chosen to straddle sort-chunk boundaries and end on an
+        # odd remainder.
+        start = 1
         for count in (1, 63, 64, 170, 402):
-            np.testing.assert_array_equal(accel.take_batch(count).copy(),
-                                          ref.take_batch(count).copy())
-
-    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
-    def test_attach_is_refused_without_fixed_seed(self, engine):
-        labels = np.array([0] * 6 + [1] * 6)
-        options = validate_options(labels, fixed_seed_sampling="n", B=50)
-        gen = build_generator(options, labels)
-        assert gen.attach_engine(resolve_engine(engine)) is False
-
-    def test_attach_none_detaches(self):
-        labels = np.array([0] * 6 + [1] * 6)
-        options = validate_options(labels, B=50, seed=3)
-        gen = build_generator(options, labels)
-        assert gen.attach_engine(resolve_engine("numpy")) is True
-        assert gen.attach_engine(None) is False
-        ref = build_generator(options, labels)
-        np.testing.assert_array_equal(gen.take_batch(40).copy(),
-                                      ref.take_batch(40).copy())
+            np.testing.assert_array_equal(gen.take_batch(count).copy(),
+                                          _reference_rows(gen, start, count))
+            start += count
+        for index in (1, 2, 511, 799):
+            np.testing.assert_array_equal(
+                gen.at(index), _reference_rows(gen, index, 1)[0])
 
 
 # -- kernel parity ----------------------------------------------------------
@@ -248,7 +240,7 @@ def _design(name, request):
 
 
 class TestKernelParity:
-    """run_kernel with an engine == the engine-less reference, exactly."""
+    """run_kernel scored by an engine == the default numpy scoring, exactly."""
 
     @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     @pytest.mark.parametrize("test", _DESIGNS)
@@ -264,7 +256,7 @@ class TestKernelParity:
                          options.side, start=0, count=count, chunk_size=64)
         got = run_kernel(stat, build_generator(options, labels), observed,
                          options.side, start=0, count=count, chunk_size=64,
-                         engine=resolve_engine(engine, batch_rows=128))
+                         engine=resolve_engine(engine))
         np.testing.assert_array_equal(ref.raw, got.raw)
         np.testing.assert_array_equal(ref.adjusted, got.adjusted)
         assert ref.nperm == got.nperm
@@ -287,13 +279,17 @@ class TestKernelParity:
         X, labels, _ = small_two_class
         options = validate_options(labels, B=100)
         stat = build_statistic(options, X, labels)
-        ops = resolve_engine("numpy", batch_rows=256)
-        ws = KernelWorkspace.for_stat(stat, chunk_size=64, engine=ops,
-                                      engine_batch=256)
-        assert ws.compatible_with(stat, 64, engine=ops, engine_batch=256)
-        assert not ws.compatible_with(stat, 64, engine=None)
-        assert not ws.compatible_with(stat, 64, engine=ops,
-                                      engine_batch=4096)
+        ops = resolve_engine("numpy")
+        ws = KernelWorkspace.for_stat(stat, chunk_size=64, engine=ops)
+        assert ws.compatible_with(stat, 64, engine=ops)
+        # No engine means the numpy reference engine.
+        assert ws.compatible_with(stat, 64, engine=None)
+        assert not ws.compatible_with(stat, 128, engine=ops)
+
+        class OtherEngine(NumpyEngine):
+            name = "other"
+
+        assert not ws.compatible_with(stat, 64, engine=OtherEngine())
 
 
 # -- whole-pipeline parity --------------------------------------------------
@@ -312,11 +308,34 @@ class TestPmaxTEngine:
     @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_engine_batch_split_changes_nothing(self, engine,
                                                 small_two_class):
+        """A super-batch tail shorter than chunk_size loses no rows.
+
+        B exceeds one super-batch and chunk_size=50 does not divide it,
+        so every generator kind is served a short tail chunk; counts must
+        equal a run whose chunks tile the super-batches exactly.
+        """
         X, labels, _ = small_two_class
-        ref = pmaxT(X, labels, B=500, seed=5, engine="numpy")
-        out = pmaxT(X, labels, B=500, seed=5, engine=engine,
-                    engine_batch=96, chunk_size=50)
-        _same(ref, out)
+        nperm = DEFAULT_ENGINE_BATCH + 700
+        assert DEFAULT_ENGINE_BATCH % 50 and DEFAULT_ENGINE_BATCH % 64 == 0
+        options = validate_options(labels, B=nperm, seed=5)
+        stat = build_statistic(options, X, labels)
+        observed = compute_observed(stat, options.side)
+        generators = {
+            "fixed-seed": lambda: RandomLabelShuffle(labels, nperm, seed=5),
+            "stream": lambda: RandomLabelShuffle(labels, nperm, seed=5,
+                                                 fixed_seed=False),
+            "stored": lambda: StoredPermutations(RandomLabelShuffle(
+                labels, nperm, seed=5, fixed_seed=False)),
+        }
+        for kind, make in generators.items():
+            ref = run_kernel(stat, make(), observed, options.side, 0, nperm,
+                             chunk_size=64)
+            out = run_kernel(stat, make(), observed, options.side, 0, nperm,
+                             chunk_size=50, engine=resolve_engine(engine))
+            assert out.nperm == ref.nperm == nperm, kind
+            np.testing.assert_array_equal(out.raw, ref.raw, err_msg=kind)
+            np.testing.assert_array_equal(out.adjusted, ref.adjusted,
+                                          err_msg=kind)
 
     @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_multirank_backend_matches_serial(self, engine, small_two_class):
@@ -344,7 +363,7 @@ class TestPmaxTEngine:
                     resident[0], resident[1].name)
 
             states = ses.run(probe)
-            assert all(s == (("numpy", None), "numpy") for s in states)
+            assert all(s == ("numpy", "numpy") for s in states)
 
     def test_pmaxt_rejects_unknown_engine(self, small_two_class):
         X, labels, _ = small_two_class
@@ -352,7 +371,7 @@ class TestPmaxTEngine:
             pmaxT(X, labels, B=50, engine="fortran")
 
     def test_pmaxt_fails_fast_on_missing_engine(self, small_two_class):
-        missing = [n for n in ("torch", "cupy")
+        missing = [n for n in ("torch",)
                    if not _ENGINE_REGISTRY[n].module_available()]
         if not missing:
             pytest.skip("every optional engine module is installed here")

@@ -21,7 +21,10 @@ from repro.core.checkpoint import (
     result_cache_key,
 )
 from repro.core.options import validate_options
-from repro.core.pmaxt import pmaxT
+from repro.core.pmaxt import lookup_cached, pmaxT
+from repro.corr import pcor
+from repro.corr.parallel import lookup_cached_pcor
+from repro.errors import OptionError
 from repro.mpi import open_session
 
 
@@ -214,6 +217,18 @@ class TestStore:
         assert stats["cache_hits"] == 1
         assert stats["cache_misses"] == 1
         assert stats["cache_extended"] == 1
+
+    @pytest.mark.parametrize("bad", [False, True, "some/dir", 0])
+    def test_non_cache_is_option_error(self, dataset, bad):
+        X, y = dataset
+        with pytest.raises(OptionError, match="ResultCache"):
+            pmaxT(X, y, B=50, cache=bad)
+        with pytest.raises(OptionError, match="ResultCache"):
+            lookup_cached(bad, X, y, B=50)
+        with pytest.raises(OptionError, match="ResultCache"):
+            pcor(X, cache=bad)
+        with pytest.raises(OptionError, match="ResultCache"):
+            lookup_cached_pcor(bad, X)
 
     def test_comm_path_bypasses_cache(self, dataset, cache):
         # Raw SPMD worlds can't orchestrate lookups; the cache is

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from repro import pmaxT
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, OptionError
 from repro.mpi import JobFuture, open_session
+from repro.serve import PoolManager
 
 
 def _rank_id(comm):
@@ -91,6 +92,24 @@ class TestSubmitBasics:
             out = pmaxT(X, y, B=100, session=ses, timeout=120)
         ref = pmaxT(X, y, B=100)
         assert np.array_equal(out.adjp, ref.adjp)
+
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan")])
+    def test_bad_timeout_is_option_error(self, dataset, timeout):
+        """Session calls, one-shot calls and the pool manager all reject
+        a non-positive or NaN job timeout up front, as an option error."""
+        X, y = dataset
+        with open_session("threads", 2) as ses:
+            with pytest.raises(OptionError, match="timeout"):
+                ses.submit(_rank_id, timeout=timeout)
+            with pytest.raises(OptionError, match="timeout"):
+                pmaxT(X, y, B=50, session=ses, timeout=timeout)
+            assert ses.run(_rank_id) == [(0, 2), (1, 2)]
+        with pytest.raises(OptionError, match="timeout"):
+            pmaxT(X, y, B=50, backend="threads", ranks=2, timeout=timeout)
+        with PoolManager("threads", 2, pools=1) as manager:
+            job = manager.submit_pmaxt(X, y, B=50, timeout=timeout)
+            with pytest.raises(OptionError, match="timeout"):
+                job.result(timeout=60)
 
 
 class TestOrderingAndCancellation:
