@@ -9,12 +9,16 @@ paper's future-work list — checkpoint/restart of an interrupted run.
 Run: ``python examples/sprint_session.py``
 """
 
+import multiprocessing
+import os
+import signal
 import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 
 from repro import pmaxT
-from repro.core.checkpoint import CheckpointStore
 from repro.data import synthetic_expression, two_class_labels
 from repro.sprint import SprintSession, default_registry, run_sprint
 
@@ -60,42 +64,37 @@ def main() -> None:
           f"{res.nranks} OS ranks, top gene adjp = {np.nanmin(res.adjp):.4f}\n")
 
     # --- fault tolerance (paper future-work item 1) -----------------------
+    # A checkpointed pmaxT saves the master's block ledger (done blocks plus
+    # their counts) after every block.  Kill the analysis process mid-run,
+    # then repeat the call: it computes only the blocks the ledger lacks,
+    # here on a different number of ranks.
+    full = pmaxT(X, labels, B=2_000, seed=23)
     with tempfile.TemporaryDirectory() as ckpt:
-        from repro.core.checkpoint import problem_fingerprint
-        from repro.core.options import validate_options
-
-        full = pmaxT(X, labels, B=2_000, seed=23)
-
-        # simulate a crash partway through a checkpointed run
-        from repro.core.checkpoint import run_kernel_resumable
-        from repro.core.kernel import compute_observed
-        from repro.core.options import build_generator, build_statistic
-
-        options = validate_options(labels, B=2_000, seed=23)
-        stat = build_statistic(options, X, labels)
-        gen = build_generator(options, labels)
-        observed = compute_observed(stat, options.side)
-        fp = problem_fingerprint(X, labels, options, 0, options.nperm)
-        store = CheckpointStore(ckpt)
-        try:
-            run_kernel_resumable(stat, gen, observed, options.side, 0,
-                                 options.nperm, store=store, fingerprint=fp,
-                                 interval=250, fail_after=900)
-        except RuntimeError as exc:
-            print(f"simulated failure: {exc}")
-        state = store.load(fp)
-        print(f"checkpoint holds {state.position}/{options.nperm} "
-              "permutations; resuming...")
-        counts = run_kernel_resumable(stat, gen, observed, options.side, 0,
-                                      options.nperm, store=store,
-                                      fingerprint=fp, interval=250)
-        print(f"resumed run finished: {counts.nperm} permutations total")
-
-        # a checkpointed pmaxT produces exactly the uninterrupted answer
-        res = pmaxT(X, labels, B=2_000, seed=23, checkpoint_dir=ckpt)
+        run = dict(B=2_000, seed=23, checkpoint_dir=ckpt,
+                   checkpoint_interval=250)
+        # Slow the doomed run down (1 ms per permutation) so it is
+        # killed part of the way through its 8 blocks.
+        os.environ["REPRO_STEAL_TEST_DELAY"] = "*:0.001"
+        victim = multiprocessing.get_context("fork").Process(
+            target=pmaxT, args=(X, labels), kwargs=run)
+        victim.start()
+        del os.environ["REPRO_STEAL_TEST_DELAY"]
+        deadline = time.monotonic() + 60
+        while not list(Path(ckpt).glob("ckpt-*.npz")):
+            assert time.monotonic() < deadline, "no checkpoint was saved"
+            time.sleep(0.01)
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join()
+        (ledger,) = Path(ckpt).glob("ckpt-*.npz")
+        with np.load(ledger) as saved:
+            print(f"analysis killed with {saved['done'].size} of 8 blocks "
+                  "checkpointed; resuming on 2 ranks...")
+        res = pmaxT(X, labels, backend="threads", ranks=2, **run)
         assert np.array_equal(res.rawp, full.rawp)
-        print("checkpointed pmaxT result identical to the uninterrupted "
-              "run — long analyses survive failures without losing work")
+        assert np.array_equal(res.adjp, full.adjp)
+        assert not list(Path(ckpt).glob("ckpt-*.npz"))
+        print("resumed pmaxT result identical to the uninterrupted run — "
+              "long analyses survive failures without losing work")
 
 
 if __name__ == "__main__":

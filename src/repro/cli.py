@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="permutation scheduling: 'static' is the "
                         "paper's fixed Figure-2 partition, 'steal' the "
                         "block-granular work-stealing dispatch (bit-"
-                        "identical results), 'auto' picks steal whenever "
-                        "the run supports it (default: auto)")
+                        "identical results), 'auto' steals whenever there "
+                        "is more than one rank (default: auto)")
     parser.add_argument("--steal-block", type=int, default=None,
                         metavar="N",
                         help="permutations per stealable block "

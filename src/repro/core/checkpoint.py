@@ -1,26 +1,28 @@
-"""Kernel checkpointing and restart (paper future-work item 1).
+"""Checkpoint/restart (paper future-work item 1) and the result cache.
 
     "Better support for fault tolerance and checkpointing; whereas this is
     not available in the existing serial R implementation, this may be of
     increasing importance as life scientists wish to perform even more
     tests on ever larger datasets." — paper Section 6.
 
-The maxT kernel state is tiny and additive — two integer count vectors plus
-the number of permutations consumed — so checkpointing is cheap: after every
-``interval`` permutations a rank atomically rewrites one small ``.npz`` file.
-On restart, :func:`run_kernel_resumable` validates the checkpoint against a
-**fingerprint** of the problem (data digest, options, chunk assignment) and
-continues from the recorded position; a mismatched fingerprint is refused
-rather than silently blended into a different problem's counts.
+A checkpoint is the master's block ledger (:mod:`repro.core.steal`) on
+disk.  A ``pmaxT`` call with ``checkpoint_dir`` runs the steal plan with
+``checkpoint_interval``-sized blocks, and after every completed block the
+master atomically rewrites one small file, ``ckpt-<key>.npz``, holding the
+done block ids and their summed counts.  A re-run of the same call loads
+it, starts with those blocks done and computes only the rest, on any
+number of ranks: the key (:func:`checkpoint_key`) covers the dataset, the
+analysis options, the permutation range and the block size, never the
+world size.  A crash costs each rank at most the one block it holds.
 
 Because permutation index ``k`` is reproducible in isolation (fixed-seed and
-complete generators are random access; stream generators re-forward), a
-resumed run produces **bit-identical** results to an uninterrupted one —
-the same guarantee the parallel decomposition itself relies on.
+complete generators are random access; stream generators re-forward) and
+the counts are int64 sums, a resumed run produces **bit-identical** results
+to an uninterrupted one — the same guarantee the parallel decomposition
+itself relies on.
 
-The per-rank file layout (``rank<r>.npz`` inside a run directory) extends
-naturally to the MPI setting: each rank checkpoints independently, and a
-restarted job of the same world size resumes every chunk.
+The rest of the module is the content-addressed result cache
+(:class:`ResultCache`), which shares the atomic-write discipline.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ import json
 import os
 import tempfile
 import time
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 try:
     import fcntl
@@ -42,52 +46,21 @@ except ImportError:  # pragma: no cover - non-POSIX fallback: no locking
 import numpy as np
 
 from ..errors import DataError, OptionError
-from ..permute.base import PermutationGenerator
-from ..stats.base import TestStatistic
-from .kernel import (
-    DEFAULT_CHUNK,
-    KernelCounts,
-    KernelWorkspace,
-    ObservedScores,
-    run_kernel,
-)
+# run_kernel is not called here; it stays importable because
+# perfbench/tracing.py patches the kernel under this module path too.
+from .kernel import KernelCounts, run_kernel  # noqa: F401
 from .options import MaxTOptions
+from .partition import Block
 
 __all__ = [
-    "problem_fingerprint",
+    "checkpoint_key",
     "dataset_fingerprint",
     "result_cache_key",
     "CheckpointStore",
     "CachedResult",
     "ResultCache",
     "check_cache",
-    "run_kernel_resumable",
 ]
-
-
-def problem_fingerprint(X: np.ndarray, classlabel: np.ndarray,
-                        options: MaxTOptions, start: int, count: int) -> str:
-    """Digest identifying one rank's kernel problem exactly.
-
-    Covers the data bytes, the labels, every option that affects the
-    permutation sequence or the statistics, and the chunk assignment.  Any
-    difference — even a changed seed or chunk boundary — yields a different
-    fingerprint, so stale checkpoints can never be resumed into the wrong
-    computation.
-    """
-    h = hashlib.sha256()
-    data = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    labels = np.ascontiguousarray(np.asarray(classlabel, dtype=np.int64))
-    h.update(data.tobytes())
-    h.update(labels.tobytes())
-    payload = (
-        options.test, options.side, options.fixed_seed_sampling, options.B,
-        options.na, options.nonpara, options.seed, options.nperm,
-        options.complete, options.store, options.dtype,
-        int(start), int(count),
-    )
-    h.update(repr(payload).encode())
-    return h.hexdigest()
 
 
 def dataset_fingerprint(X: np.ndarray,
@@ -158,70 +131,78 @@ def _json_bytes(record: dict) -> np.ndarray:
     return np.frombuffer(json.dumps(record).encode(), dtype=np.uint8)
 
 
-@dataclass
-class _CheckpointState:
-    """What a checkpoint file holds."""
+def checkpoint_key(cache_key: str, nperm: int, perm_range: tuple[int, int],
+                   block_size: int) -> str:
+    """Key of one checkpointed job's ledger file.
 
-    fingerprint: str
-    position: int          # permutations of the chunk already consumed
-    counts: KernelCounts
+    ``cache_key`` is the job's :func:`result_cache_key`, which covers the
+    dataset and every analysis option but not the permutation count; the
+    count, the permutation range and the block size complete the block
+    plan.  The world size is deliberately absent, so a ledger resumes on
+    any number of ranks.
+    """
+    payload = ("maxt-ckpt-v1", cache_key, int(nperm), int(perm_range[0]),
+               int(perm_range[1]), int(block_size))
+    return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
 class CheckpointStore:
-    """Atomic on-disk storage of one rank's kernel progress."""
+    """Atomic on-disk copy of one checkpointed job's block ledger."""
 
-    def __init__(self, directory: str | Path, rank: int = 0):
+    def __init__(self, directory: str | Path, key: str):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.rank = int(rank)
-        self.path = self.directory / f"rank{self.rank}.npz"
+        self.path = self.directory / f"ckpt-{key}.npz"
         self.saves = 0
 
-    def save(self, fingerprint: str, position: int,
-             counts: KernelCounts) -> None:
-        """Atomically persist progress (write-to-temp + rename)."""
+    def save(self, done: Sequence[int], counts: KernelCounts) -> None:
+        """Atomically persist the done block ids and their summed counts."""
         _write_npz(
             self.directory, self.path,
-            fingerprint=np.frombuffer(fingerprint.encode(), dtype=np.uint8),
-            position=np.int64(position),
+            done=np.asarray(done, dtype=np.int64),
             raw=counts.raw,
             adjusted=counts.adjusted,
             nperm=np.int64(counts.nperm),
         )
         self.saves += 1
 
-    def load(self, fingerprint: str) -> _CheckpointState | None:
-        """Load progress if a checkpoint for this exact problem exists.
+    def load(self, blocks: Sequence[Block]
+             ) -> tuple[tuple[int, ...], KernelCounts] | None:
+        """The saved ``(done block ids, counts)``, or ``None`` if absent.
 
-        Returns ``None`` when no checkpoint is present.  A checkpoint for a
-        *different* fingerprint raises :class:`DataError` — resuming it
-        would corrupt the counts.
+        A ledger that does not fit ``blocks`` — an unreadable file, block
+        ids outside the plan, or counts that do not cover exactly its
+        blocks — raises :class:`DataError`: resuming it would corrupt the
+        counts.
         """
         if not self.path.exists():
             return None
-        with np.load(self.path) as data:
-            stored = bytes(data["fingerprint"]).decode()
-            if stored != fingerprint:
-                raise DataError(
-                    f"checkpoint {self.path} belongs to a different problem "
-                    f"(fingerprint {stored[:12]}… != {fingerprint[:12]}…); "
-                    "delete it or use a fresh checkpoint directory"
-                )
-            counts = KernelCounts(
-                raw=data["raw"].copy(),
-                adjusted=data["adjusted"].copy(),
-                nperm=int(data["nperm"]),
-            )
-            return _CheckpointState(
-                fingerprint=stored,
-                position=int(data["position"]),
-                counts=counts,
-            )
+        try:
+            with np.load(self.path) as data:
+                done = tuple(int(b) for b in data["done"])
+                counts = KernelCounts(raw=data["raw"].copy(),
+                                      adjusted=data["adjusted"].copy(),
+                                      nperm=int(data["nperm"]))
+        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise DataError(f"checkpoint {self.path} is unreadable: {exc}; "
+                            "delete it to start over") from None
+        if len(set(done)) != len(done) or \
+                not all(0 <= b < len(blocks) for b in done):
+            raise DataError(
+                f"checkpoint {self.path} records blocks {list(done)}, some "
+                f"repeated or outside this job's {len(blocks)}-block plan; "
+                "delete it to start over")
+        total = sum(blocks[b].count for b in done)
+        if counts.nperm != total:
+            raise DataError(
+                f"checkpoint {self.path} holds counts over {counts.nperm} "
+                f"permutations but its blocks cover {total}; delete it to "
+                "start over")
+        return done, counts
 
     def clear(self) -> None:
-        """Remove the checkpoint (call after a successful run)."""
-        if self.path.exists():
-            self.path.unlink()
+        """Remove the ledger (the master calls this after a successful run)."""
+        self.path.unlink(missing_ok=True)
 
 
 @dataclass
@@ -524,84 +505,3 @@ def check_cache(cache) -> None:
         raise OptionError(
             f"cache must be a ResultCache, got {cache!r} "
             "(pass cache_dir= to cache in a directory)")
-
-
-def run_kernel_resumable(
-    stat: TestStatistic,
-    generator: PermutationGenerator,
-    observed: ObservedScores,
-    side: str,
-    start: int,
-    count: int,
-    *,
-    store: CheckpointStore,
-    fingerprint: str,
-    interval: int = 2_048,
-    chunk_size: int = DEFAULT_CHUNK,
-    first_is_observed: bool | None = None,
-    fail_after: int | None = None,
-    engine=None,
-) -> KernelCounts:
-    """Run the kernel over ``[start, start + count)`` with checkpointing.
-
-    Resumes from ``store`` when a matching checkpoint exists, saves every
-    ``interval`` permutations, and leaves the final checkpoint in place
-    (callers decide when to ``clear`` it).
-
-    Parameters
-    ----------
-    fail_after:
-        Testing hook: raise ``RuntimeError`` after this many permutations
-        have been processed *in this invocation*, simulating the mid-run
-        crash the checkpointing exists to survive.
-
-    Returns
-    -------
-    KernelCounts
-        Counts over the full chunk, identical to an uninterrupted
-        :func:`~repro.core.kernel.run_kernel`.
-    """
-    if interval <= 0:
-        raise DataError(f"checkpoint interval must be positive, got {interval}")
-    if first_is_observed is None:
-        first_is_observed = start == 0
-
-    state = store.load(fingerprint)
-    if state is not None:
-        done = state.position
-        counts = state.counts
-    else:
-        done = 0
-        counts = KernelCounts.zeros(observed.m)
-
-    # One workspace serves every checkpoint interval of this problem.
-    workspace = KernelWorkspace.for_stat(stat, chunk_size, engine=engine)
-    processed_now = 0
-    while done < count:
-        step = min(interval, count - done)
-        if fail_after is not None and processed_now + step > fail_after:
-            step = fail_after - processed_now
-            if step > 0:
-                piece = run_kernel(
-                    stat, generator, observed, side,
-                    start=start + done, count=step, chunk_size=chunk_size,
-                    first_is_observed=first_is_observed and done == 0,
-                    workspace=workspace, engine=engine,
-                )
-                counts += piece
-                done += step
-                store.save(fingerprint, done, counts)
-            raise RuntimeError(
-                f"injected failure after {fail_after} permutations"
-            )
-        piece = run_kernel(
-            stat, generator, observed, side,
-            start=start + done, count=step, chunk_size=chunk_size,
-            first_is_observed=first_is_observed and done == 0,
-            workspace=workspace, engine=engine,
-        )
-        counts += piece
-        done += step
-        processed_now += step
-        store.save(fingerprint, done, counts)
-    return counts

@@ -37,7 +37,7 @@ Workspace lifetime rules:
 
 * one workspace serves one ``(stat, chunk_size)`` problem shape; it may be
   reused across any number of :func:`run_kernel` calls with the same shape
-  (the checkpointing driver does exactly that, and a rank running under a
+  (every block of a pmaxT job shares one, and a rank running under a
   persistent :class:`~repro.mpi.session.BackendSession` keeps one resident
   across whole ``pmaxT`` calls via
   :func:`~repro.mpi.session.resident_cache` — the session/backend layer
@@ -298,7 +298,7 @@ def run_kernel(
     permutation only needs to be taken into account once by the master".
 
     ``workspace`` is an optional :class:`KernelWorkspace` (reused across
-    calls by the checkpoint driver); with ``None`` a private one is built,
+    the blocks of a pmaxT job); with ``None`` a private one is built,
     so every caller gets the allocation-free batch loop.  Counts are
     bit-identical either way.
 

@@ -170,29 +170,20 @@ def carve_blocks(start: int, stop: int, block_size: int) -> tuple[Block, ...]:
 
 
 def plan_initial_runs(nblocks: int, nranks: int) -> tuple[range, ...]:
-    """Per-rank initial contiguous block runs; the rest form the steal pool.
+    """Per-rank initial block runs; the rest form the steal pool.
 
-    Each rank starts on a deterministic run of blocks it computes without
-    asking the master — rank ``r`` owns ``runs[r]`` (a ``range`` of block
-    ids).  Rank 0's run starts at block 0, keeping the observed labelling
-    (permutation index 0) pinned to the master exactly as in the static
-    plan.  Runs are kept short — about a quarter of an even share — so most
-    blocks stay in the master's pool where stragglers shed them; with fewer
-    blocks than ranks, trailing ranks get empty runs and steal from the
-    start.
+    Rank ``r``'s initial run is block ``r`` alone, which it computes
+    without asking the master; ranks past the last block start with an
+    empty run and steal.  Rank 0's run is block 0, keeping the observed
+    labelling (permutation index 0) pinned to the master exactly as in the
+    static plan.  One-block runs leave every other block in the master's
+    pool, so a crash costs each rank at most the one block it holds.
     """
     if nblocks <= 0:
         raise PermutationError(f"nblocks must be positive, got {nblocks}")
     if nranks <= 0:
         raise PermutationError(f"nranks must be positive, got {nranks}")
-    run_len = max(1, nblocks // (4 * nranks))
-    runs = []
-    at = 0
-    for _ in range(nranks):
-        take = min(run_len, nblocks - at)
-        runs.append(range(at, at + take))
-        at += take
-    return tuple(runs)
+    return tuple(range(r, min(r + 1, nblocks)) for r in range(nranks))
 
 
 def block_plan(start: int, stop: int, nranks: int,
@@ -201,17 +192,16 @@ def block_plan(start: int, stop: int, nranks: int,
     """The blocks and per-rank initial runs one pmaxT job executes.
 
     ``block_size=None`` is the static plan, the Figure-2 partition of
-    ``[start, stop)``: rank ``r``'s chunk is block ``r``, alone in its
-    initial run, and no block is left to steal.  With fewer permutations
-    than ranks the trailing ranks own empty chunks, so they get no block
-    and an empty run.  Otherwise the range is carved into ``block_size``
-    blocks with short initial runs, and the rest form the steal pool.
+    ``[start, stop)``: rank ``r``'s chunk is block ``r`` and no block is
+    left to steal.  With fewer permutations than ranks the trailing ranks
+    own empty chunks, so they get no block.  Otherwise the range is carved
+    into ``block_size`` blocks and all but the first ``nranks`` form the
+    steal pool.  Either way rank ``r``'s initial run is block ``r``.
     """
     if block_size is not None:
         blocks = carve_blocks(start, stop, block_size)
-        return blocks, plan_initial_runs(len(blocks), nranks)
-    plan = partition_permutations(stop - start, nranks)
-    blocks = tuple(Block(bid=c.rank, start=start + c.start, count=c.count)
-                   for c in plan.chunks if c.count > 0)
-    runs = tuple(range(r, min(r + 1, len(blocks))) for r in range(nranks))
-    return blocks, runs
+    else:
+        plan = partition_permutations(stop - start, nranks)
+        blocks = tuple(Block(bid=c.rank, start=start + c.start, count=c.count)
+                       for c in plan.chunks if c.count > 0)
+    return blocks, plan_initial_runs(len(blocks), nranks)

@@ -17,7 +17,8 @@ Implements the six steps of the paper's Section 3.2 on top of the
   Figure-2 chunk as a single block, the steal plan carves the range into
   small blocks that finished ranks steal.  Each rank's counts ride the
   executor's messages to the master, and its block ledger audits the
-  cover (``main kernel``).
+  cover; with ``checkpoint_dir`` the master also persists that ledger
+  (``main kernel``).
 * **Step 5** — the master computes the raw and adjusted p-values from the
   world-total counts it already holds (``compute p-values``).
 * **Step 6** — buffers are released (Python's GC makes this implicit).
@@ -55,9 +56,9 @@ usable here, in ``pcor`` and in the CLI without touching this module.
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +67,7 @@ from ..mpi import Communicator, SUM, SerialComm
 from ..mpi.datasets import PublishedDataset, attach_published_view
 from ..mpi.session import BackendSession, resident_cache
 from ..permute import DEFAULT_COMPLETE_LIMIT, DEFAULT_SEED
+from ..permute.storage import StoredPermutations
 from ..stats import MT_NA_NUM
 from ..stats.na import to_nan
 from .adjust import pvalues_from_counts, side_adjust, significance_order
@@ -77,7 +79,7 @@ from .kernel import (
     run_kernel,
 )
 from .options import MaxTOptions, build_generator, build_statistic, validate_options
-from .partition import block_plan
+from .partition import block_plan, carve_blocks
 from .profile import SectionProfile, SectionTimer
 from .result import MaxTResult
 from .steal import (
@@ -153,42 +155,45 @@ def _unpack_options(t: tuple) -> MaxTOptions:
 _STEAL_EPOCH = itertools.count(1)
 
 
-def _resolve_schedule(schedule: str, steal_block: int | None,
-                      options: MaxTOptions, checkpoint_dir: str | None,
-                      world_size: int) -> tuple:
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int, or :class:`OptionError` unless it is one >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < 1:
+        raise OptionError(f"{name} must be a positive int, got {value!r}")
+    return int(value)
+
+
+def _resolve_schedule(schedule: str, steal_block, checkpoint_dir: str | None,
+                      checkpoint_interval, world_size: int) -> tuple:
     """Master-side plan choice (Step 1): ``(block_size, tag)``.
 
     ``block_size`` is ``None`` for the static Figure-2 plan, else the
-    steal plan's block size; ``tag`` is the job's point-to-point tag.
-    ``auto`` steals whenever it can: a multi-rank world, no stored
-    permutations (stored mode materialises one contiguous slice per
-    rank) and no checkpointing (one checkpoint file per chunk).  The
-    counts are bit-identical either way — the plan decides who computes
-    each block, never what is computed.
+    steal plan's block size; ``tag`` is the job's point-to-point tag.  A
+    checkpointed job runs the steal plan with ``checkpoint_interval``
+    blocks on every world size, because its ledger records those blocks;
+    otherwise ``auto`` steals in any multi-rank world.  The counts are
+    bit-identical either way — the plan decides who computes each block,
+    never what is computed.
     """
     if schedule not in ("auto", "static", "steal"):
         raise OptionError(
             f"schedule must be 'auto', 'static' or 'steal', got {schedule!r}")
-    if steal_block is not None and int(steal_block) < 1:
-        raise OptionError(f"steal_block must be >= 1, got {steal_block}")
+    if steal_block is not None:
+        steal_block = _positive_int("steal_block", steal_block)
+    interval = _positive_int("checkpoint_interval", checkpoint_interval)
     tag = STEAL_TAG_BASE + next(_STEAL_EPOCH) % 0x100000
-    if schedule == "static":
-        return (None, tag)
-    blocked = []
-    if options.store:
-        blocked.append("stored permutations")
     if checkpoint_dir is not None:
-        blocked.append("checkpointing")
-    if world_size <= 1:
-        blocked.append("a one-rank world")
-    if blocked:
-        if schedule == "steal":
+        if schedule == "static" or steal_block is not None:
             raise OptionError(
-                f"schedule='steal' is incompatible with {', '.join(blocked)}")
+                "checkpoint_dir runs checkpoint_interval-sized steal blocks; "
+                "it cannot be combined with schedule='static' or steal_block")
+        return (interval, tag)
+    if schedule == "static" or (schedule == "auto" and world_size <= 1):
         return (None, tag)
-    block_size = int(steal_block) if steal_block is not None \
-        else DEFAULT_STEAL_BLOCK
-    return (block_size, tag)
+    if world_size <= 1:
+        raise OptionError("schedule='steal' is incompatible with a one-rank "
+                          "world")
+    return (steal_block or DEFAULT_STEAL_BLOCK, tag)
 
 
 @dataclass
@@ -207,16 +212,14 @@ class _RangeCounts:
     profile: SectionProfile | None = None
 
 
-def _session_worker(comm: Communicator, checkpoint_dir: str | None = None,
-                    checkpoint_interval: int = 2_048) -> MaxTResult | None:
+def _session_worker(comm: Communicator) -> MaxTResult | None:
     """Worker-rank pmaxT under a persistent session.
 
     Module-level (hence picklable) counterpart of the launch closure:
-    worker ranks need no data or options of their own — both arrive via
-    the master's Step 2/3 broadcasts — only the local checkpoint knobs.
+    worker ranks need no arguments of their own — the data, the options
+    and the plan all arrive via the master's Step 2/3 broadcasts.
     """
-    return _pmaxt_run(None, None, comm=comm, checkpoint_dir=checkpoint_dir,
-                      checkpoint_interval=checkpoint_interval)
+    return _pmaxt_run(None, None, comm=comm)
 
 
 def pmaxT(
@@ -277,13 +280,16 @@ def pmaxT(
     is the paper's Figure-2 plan (one contiguous chunk per rank, fixed up
     front, nothing to steal), ``"steal"`` carves the range into small
     blocks that finished ranks steal from stragglers via the master, and
-    ``"auto"`` (default) steals whenever the job allows it — multi-rank,
-    no stored permutations, no checkpointing.  Both plans run on the same
-    executor, so a worker that dies mid-job under a session is recovered
-    either way (its blocks are requeued, only that rank is respawned).
-    Results are bit-identical across schedules; ``steal_block`` tunes the
-    permutations-per-block granularity (default 256).  Neither knob
-    enters the result-cache key, for exactly that reason.
+    ``"auto"`` (default) steals in every multi-rank world, stored and
+    checkpointed runs included.  A checkpointed run always steals, with
+    ``checkpoint_interval``-sized blocks, so it rejects
+    ``schedule="static"`` and ``steal_block``.  Both plans run on the
+    same executor, so a worker that dies mid-job under a session is
+    recovered either way (its blocks are requeued, only that rank is
+    respawned).  Results are bit-identical across schedules;
+    ``steal_block`` tunes the permutations-per-block granularity
+    (default 256).  Neither knob enters the result-cache key, for
+    exactly that reason.
 
     ``engine`` picks the array-module engine that scores the permutation
     batches (see :mod:`repro.accel`): ``"auto"`` (default) resolves to
@@ -529,18 +535,17 @@ def _published_rank_wire(options: MaxTOptions) -> bool:
             and not getattr(cls, "_rank_based", False))
 
 
-def _resident_workspace(stat, chunk_size: int,
-                        engine=None) -> KernelWorkspace | None:
-    """This rank's session-resident kernel workspace, if one is available.
+def _resident_workspace(stat, chunk_size: int, engine=None) -> KernelWorkspace:
+    """This rank's kernel workspace: session-resident when possible.
 
     Under a persistent session each rank keeps one
     :class:`~repro.core.kernel.KernelWorkspace` warm across whole pmaxT
-    calls; outside a session there is no resident cache and the kernel
-    builds a private workspace per call.
+    calls; outside a session one is built per call and serves every block
+    of it.
     """
     cache = resident_cache()
     if cache is None:
-        return None
+        return KernelWorkspace.for_stat(stat, chunk_size, engine=engine)
     workspace = cache.get("kernel_workspace")
     if not (isinstance(workspace, KernelWorkspace)
             and workspace.compatible_with(stat, chunk_size, engine=engine)):
@@ -549,10 +554,9 @@ def _resident_workspace(stat, chunk_size: int,
     return workspace
 
 
-def _run_blocks(comm, options: MaxTOptions, data, labels, stat, observed,
+def _run_blocks(comm, options: MaxTOptions, labels, stat, observed,
                 range_start: int, range_stop: int, plan: tuple,
-                checkpoint_dir: str | None,
-                checkpoint_interval: int) -> KernelCounts | None:
+                checkpoint: tuple | None) -> KernelCounts | None:
     """Step 4: run this job's block plan on every rank.
 
     Builds the plan over ``[range_start, range_stop)`` (static or steal,
@@ -562,57 +566,35 @@ def _run_blocks(comm, options: MaxTOptions, data, labels, stat, observed,
     protocol's messages.  They are int64 count sums, so any block-to-rank
     assignment and accumulation order is bit-identical — the invariant
     the golden tests pin across schedules and skew patterns.
+
+    ``plan`` carries the block ids restored from a checkpoint, which no
+    rank computes; ``checkpoint`` is the master's ``(store, restored
+    counts)`` (``None`` on workers and without ``checkpoint_dir``).
     """
     from ..mpi.blasctl import apply_elastic_cap, get_blas_threads, set_blas_threads
     from ..mpi.processes import ProcessComm
 
-    block_size, tag = plan
+    block_size, tag, restored = plan
     blocks, runs = block_plan(range_start, range_stop, comm.size, block_size)
-    # Stored mode materialises each block's own slice; the other
-    # generators seek to any permutation index, so one serves every block.
-    generator = None if options.store else build_generator(options, labels)
+    runs = tuple([bid for bid in run if bid not in restored] for run in runs)
+    # Stored mode materialises each block's rows from this one source: a
+    # stream cannot seek, so it only moves forward unless a block starts
+    # behind it (see StoredPermutations).  The other generators seek.
+    generator = build_generator(replace(options, store=False), labels)
     ops = _resolve_run_engine(options)
-    # Under a session, each rank owns a resident KernelWorkspace that
-    # survives across pmaxT calls (counts are bit-identical with or
-    # without one — pinned by tests).  The checkpoint driver manages its
-    # own workspace, so nothing is parked in the cache on that path.
-    workspace = None if checkpoint_dir is not None else _resident_workspace(
-        stat, options.chunk_size, engine=ops)
+    workspace = _resident_workspace(stat, options.chunk_size, engine=ops)
     delay = injected_delay(comm.rank)
 
     def compute_block(block):
+        gen, start = generator, block.start
         if options.store:
-            # The stored generator replays its slice with local indices.
-            gen = build_generator(options, labels,
-                                  store_slice=(block.start, block.count))
+            # The stored slice replays its rows with local indices.
+            gen = StoredPermutations(generator, block.start, block.count)
             start = 0
-        else:
-            gen, start = generator, block.start
-        kernel_args = dict(start=start, count=block.count,
-                           chunk_size=options.chunk_size,
-                           first_is_observed=(block.start == 0),
-                           engine=ops)
-        if checkpoint_dir is None:
-            counts = run_kernel(stat, gen, observed, options.side,
-                                workspace=workspace, **kernel_args)
-        else:
-            from .checkpoint import (
-                CheckpointStore,
-                problem_fingerprint,
-                run_kernel_resumable,
-            )
-
-            # Checkpointed runs use the static plan, where block ``r`` is
-            # rank ``r``'s Figure-2 chunk: the file is ``rank<r>.npz``
-            # whichever rank computes it, so a survivor that takes over a
-            # dead rank's chunk resumes its progress.
-            store = CheckpointStore(checkpoint_dir, rank=block.bid)
-            counts = run_kernel_resumable(
-                stat, gen, observed, options.side, store=store,
-                fingerprint=problem_fingerprint(
-                    data, labels, options, block.start, block.count),
-                interval=checkpoint_interval, **kernel_args)
-            store.clear()
+        counts = run_kernel(stat, gen, observed, options.side, start=start,
+                            count=block.count, chunk_size=options.chunk_size,
+                            first_is_observed=(block.start == 0),
+                            workspace=workspace, engine=ops)
         if delay > 0:
             time.sleep(delay * block.count)
         return counts
@@ -648,13 +630,19 @@ def _run_blocks(comm, options: MaxTOptions, data, labels, stat, observed,
 
     try:
         if comm.is_master:
-            # Sub-block polling only under a steal plan: a stored slice or
-            # a checkpointed chunk is always computed by one call.
+            store, counts = checkpoint or (None, None)
+            on_done = None if store is None else (
+                lambda ledger, acc: store.save(ledger.done, acc))
+            # Sub-block polling only under a steal plan: the static plan
+            # computes each rank's chunk in one call.
             acc, ledger, stats = run_steal_master(
                 comm, blocks, runs, compute_block, merge, tag=tag,
                 recap=recap,
-                poll_unit=None if block_size is None else options.chunk_size)
+                poll_unit=None if block_size is None else options.chunk_size,
+                restored=(restored, counts), on_done=on_done)
             ledger.assert_exact_cover(range_start, range_stop)
+            if store is not None:
+                store.clear()
             on_stats = getattr(comm, "_on_steal_stats", None)
             if on_stats is not None and block_size is not None:
                 on_stats(stats)
@@ -735,9 +723,12 @@ def _pmaxt_run(
     own pool and persists for that rank's lifetime.
 
     ``checkpoint_dir`` enables the fault-tolerance extension (paper
-    future-work item 1): each rank periodically persists its partial counts
-    and a re-run of the identical call resumes from the last checkpoint
-    instead of restarting its chunk — see :mod:`repro.core.checkpoint`.
+    future-work item 1): the job runs ``checkpoint_interval``-sized steal
+    blocks and the master persists its block ledger (done block ids plus
+    their summed counts) after every completed block.  A re-run of the
+    identical call, on any number of ranks, computes only the blocks the
+    ledger lacks; a crash costs each rank at most one block — see
+    :mod:`repro.core.checkpoint`.
 
     The output is **identical to the serial output** for any rank count
     and schedule: every block plan tiles the permutation range exactly
@@ -764,12 +755,9 @@ def _pmaxt_run(
             )
 
         # The worker-rank half for a persistent session (jobs cross a
-        # queue there, so the callable must be picklable): everything but
-        # the checkpoint knobs arrives via the Step 2/3 broadcasts.
-        worker = partial(_session_worker, checkpoint_dir=checkpoint_dir,
-                         checkpoint_interval=checkpoint_interval)
+        # queue there, so the callable must be picklable).
         return launch_master(backend, ranks, _job, comm=comm,
-                             session=session, worker_fn=worker,
+                             session=session, worker_fn=_session_worker,
                              caller="pmaxT", blas_threads=blas_threads,
                              timeout=timeout)
 
@@ -791,7 +779,7 @@ def _pmaxt_run(
     # -- Step 1: master-side pre-processing --------------------------------
     payload = None
     handle: PublishedDataset | None = None
-    data = labels = route = None
+    data = labels = route = checkpoint = None
     pre_ranked = False
     with timer.section("pre_processing"):
         if master:
@@ -830,23 +818,39 @@ def _pmaxt_run(
                     data, route = handle.resolve(
                         options.dtype,
                         options.na if options.dtype == "float32" else None)
-            plan = _resolve_schedule(schedule, steal_block, options,
-                                     checkpoint_dir, comm.size)
+            perm_range = tuple(map(int, perm_range or (0, options.nperm)))
+            if not 0 <= perm_range[0] < perm_range[1] <= options.nperm:
+                raise DataError(
+                    f"invalid permutation range {perm_range!r} for "
+                    f"nperm={options.nperm}")
+            block_size, tag = _resolve_schedule(
+                schedule, steal_block, checkpoint_dir, checkpoint_interval,
+                comm.size)
+            restored: tuple = ()
+            if checkpoint_dir is not None:
+                # The master's ledger: a re-run starts with its blocks done.
+                from .checkpoint import (
+                    CheckpointStore,
+                    checkpoint_key,
+                    result_cache_key,
+                )
+
+                store = CheckpointStore(checkpoint_dir, checkpoint_key(
+                    result_cache_key(_dataset_fp_for(X, classlabel), options),
+                    options.nperm, perm_range, block_size))
+                restored, counts = store.load(
+                    carve_blocks(*perm_range, block_size)) or ((), None)
+                checkpoint = (store, counts)
             payload = (_pack_options(options), route, perm_range,
-                       bool(return_counts), plan, pre_ranked)
+                       bool(return_counts), (block_size, tag, restored),
+                       pre_ranked)
 
     # -- Step 2: broadcast scalar parameters --------------------------------
     with timer.section("broadcast_parameters"):
         packed, route, perm_range, return_counts, plan, pre_ranked = \
             comm.bcast(payload, root=0)
         options = _unpack_options(packed)
-        if perm_range is None:
-            perm_range = (0, options.nperm)
-        range_start, range_stop = int(perm_range[0]), int(perm_range[1])
-        if not 0 <= range_start < range_stop <= options.nperm:
-            raise DataError(
-                f"invalid permutation range {perm_range!r} for "
-                f"nperm={options.nperm}")
+        range_start, range_stop = perm_range
 
     # -- Step 3: broadcast + transform the input data ------------------------
     with timer.section("create_data"):
@@ -893,9 +897,8 @@ def _pmaxt_run(
     with timer.section("main_kernel"):
         stat = build_statistic(options, data, labels, pre_ranked=pre_ranked)
         observed = compute_observed(stat, options.side)
-        totals = _run_blocks(comm, options, data, labels, stat, observed,
-                             range_start, range_stop, plan, checkpoint_dir,
-                             checkpoint_interval)
+        totals = _run_blocks(comm, options, labels, stat, observed,
+                             range_start, range_stop, plan, checkpoint)
 
     # -- Step 5: compute p-values from the master's world totals -------------
     result: MaxTResult | _RangeCounts | None = None

@@ -9,14 +9,17 @@ This module executes any such plan.
   contiguous chunk is one block in its initial run and the pool is empty,
   so a rank computes its chunk, reports the counts and is told to stop.
 * The **steal** plan carves the range into fixed-size blocks, gives every
-  rank a short deterministic initial run
+  rank one block to start with
   (:func:`~repro.core.partition.plan_initial_runs`) and leaves the rest in
   the pool: finished ranks request further blocks from the master over
   the point-to-point control plane, so they steal load from stragglers.
 
 Either way the counts reach the master on the protocol's messages (there
 is no separate count reduction), and the master's :class:`BlockLedger`
-audits that every block was computed exactly once.
+audits that every block was computed exactly once.  The ledger is also
+what a checkpoint persists (:class:`~repro.core.checkpoint.CheckpointStore`):
+the done block ids plus their summed counts, so a re-run starts with those
+blocks done and computes only the rest, on any number of ranks.
 
 Determinism is preserved by construction rather than by locking:
 
@@ -117,12 +120,16 @@ class BlockLedger:
     any assignment, so the only thing that can go wrong is coverage — a
     block computed twice or not at all.  :meth:`assert_exact_cover` is
     pmaxT's only permutation-accounting check, for every plan.
+
+    ``done`` lists blocks restored from a checkpoint: they start done, so
+    they are never granted and the cover audit still spans the whole range.
     """
 
-    def __init__(self, blocks: Sequence[Block]):
+    def __init__(self, blocks: Sequence[Block], done: Sequence[int] = ()):
         self._blocks = tuple(blocks)
         self._granted: dict[int, int] = {}
-        self._done: dict[int, int] = {}
+        #: Done block -> the rank that computed it (``None``: restored).
+        self._done: dict[int, int | None] = dict.fromkeys(done)
 
     def grant(self, bid: int, rank: int) -> None:
         if bid in self._done or bid in self._granted:
@@ -148,6 +155,11 @@ class BlockLedger:
 
     def in_flight(self, rank: int) -> list[int]:
         return sorted(bid for bid, r in self._granted.items() if r == rank)
+
+    @property
+    def done(self) -> tuple[int, ...]:
+        """The ids of every finished block, restored ones included."""
+        return tuple(sorted(self._done))
 
     @property
     def complete(self) -> bool:
@@ -188,6 +200,8 @@ def run_steal_master(
     tag: int,
     recap: Callable[[int], None] | None = None,
     poll_unit: int | None = None,
+    restored: tuple[Sequence[int], Any] = ((), None),
+    on_done: Callable[[BlockLedger, Any], None] | None = None,
 ) -> tuple[Any, BlockLedger, dict[str, int]]:
     """Rank 0's side of the steal protocol.
 
@@ -205,17 +219,24 @@ def run_steal_master(
     whole-block granularity.  Sub-units tile the block's permutation
     indices exactly, so the contribution (an associative int64 count
     sum) is bit-identical to the whole-block compute.
+
+    ``restored`` is ``(block ids, their summed counts)`` from a
+    checkpoint: those blocks start done, their counts seed the
+    accumulator, and no rank is granted them (the ``runs`` must already
+    leave them out).  ``on_done(ledger, acc)`` runs whenever blocks are
+    marked done, and ``acc`` then covers exactly ``ledger.done`` — the
+    invariant a checkpoint saved from it relies on.
     """
-    ledger = BlockLedger(blocks)
+    done, acc = restored
+    ledger = BlockLedger(blocks, done=done)
     my_blocks: deque[int] = deque(runs[0])
-    taken = {bid for run in runs for bid in run}
+    taken = {bid for run in runs for bid in run}.union(done)
     pool: deque[int] = deque(b.bid for b in blocks if b.bid not in taken)
     for rank, run in enumerate(runs):
         for bid in run:
             ledger.grant(bid, rank)
     active = set(range(1, comm.size))
     dead: set[int] = set()
-    acc: Any = None
     stats = {
         "blocks_total": len(blocks),
         "blocks_stolen": 0,
@@ -247,6 +268,8 @@ def run_steal_master(
         ledger.mark_done(src, finished)
         if contribution is not None:
             acc = merge(acc, contribution)
+        if finished and on_done is not None:
+            on_done(ledger, acc)
         if pool:
             bid = pool.popleft()
             ledger.grant(bid, src)
@@ -290,21 +313,27 @@ def run_steal_master(
             recap(nactive())
         block = blocks[bid]
         if poll_unit is None or poll_unit >= block.count:
-            acc = merge(acc, compute_block(block))
+            part = compute_block(block)
         else:
             # Sub-block service units: drain pending steal requests
             # between units so a large steal_block on the master cannot
-            # delay a straggler's refill by a whole block's compute.
-            at = block.start
+            # delay a straggler's refill by a whole block's compute.  The
+            # units sum into the block's own part, which joins ``acc``
+            # only with the whole block, so ``on_done`` never sees a
+            # partial block.
+            part, at = None, block.start
             while at < block.stop:
                 count = min(poll_unit, block.stop - at)
-                acc = merge(acc, compute_block(
+                part = merge(part, compute_block(
                     Block(bid=block.bid, start=at, count=count)))
                 at += count
                 if at < block.stop:
                     drain()
         busy = False
         ledger.mark_done(0, [bid])
+        acc = merge(acc, part)
+        if on_done is not None:
+            on_done(ledger, acc)
     return acc, ledger, stats
 
 

@@ -46,10 +46,10 @@ Every unlink is guarded by the publishing PID: a forked child (one-shot
 worlds inherit the registry's address space) exiting must not reclaim
 the parent's live segments.
 
-Worker-side attachments are unregistered from the
-``multiprocessing.resource_tracker`` (see :func:`repro.mpi.shm._untrack`);
-without that, a worker's exit would bogusly unlink the publisher's
-segment out from under the session.
+Worker-side attachments never register with the
+``multiprocessing.resource_tracker`` (see :func:`repro.mpi.shm._attach`):
+only the publisher owns a segment, so a worker's exit can never unlink it
+out from under the session.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ import numpy as np
 
 from ..errors import DataError
 from .session import resident_cache
-from .shm import _untrack
+from .shm import _attach
 
 __all__ = [
     "PublishedDataset",
@@ -95,17 +95,6 @@ def _unlink_segments(owner_pid: int, segments: list) -> None:
         except BufferError:  # a view still exports the buffer; OS reclaims
             pass
         if mine:
-            try:
-                # Re-register first: forked workers share this process's
-                # resource tracker, and their attach-then-_untrack cycle
-                # removes the name from its set — unlink()'s unregister
-                # would then make the tracker print a bogus KeyError.
-                # register() is an idempotent set-add, restoring balance.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.register(segment._name, "shared_memory")
-            except Exception:  # pragma: no cover - interpreter internals
-                pass
             try:
                 segment.unlink()
             except FileNotFoundError:
@@ -348,7 +337,7 @@ def attach_published_view(route: SegmentRoute) -> np.ndarray:
     :func:`repro.mpi.session.resident_cache`) keyed by segment name, so a
     warm worker maps each published dataset exactly once per pool
     incarnation; outside a session the mapping lives for the (short)
-    worker lifetime.  Attachments are unregistered from the resource
+    worker lifetime.  Attachments never register with the resource
     tracker — a worker exiting must never unlink the publisher's segment.
     """
     name, shape, dtype = route
@@ -365,13 +354,12 @@ def attach_published_view(route: SegmentRoute) -> np.ndarray:
     if cached is not None:
         return cached[1]
     try:
-        segment = shared_memory.SharedMemory(name=name)
+        segment = _attach(name)
     except FileNotFoundError:
         raise DataError(
             f"published dataset segment {name!r} no longer exists (the "
             "publishing session was closed or the dataset unpublished)"
         ) from None
-    _untrack(segment)
     view: np.ndarray = np.ndarray(
         shape, dtype=np.dtype(dtype), buffer=segment.buf)
     view.flags.writeable = False

@@ -30,7 +30,9 @@ thread world has, made explicit here.
 
 from __future__ import annotations
 
-from multiprocessing import shared_memory
+import sys
+import threading
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable
 
 import numpy as np
@@ -54,21 +56,33 @@ __all__ = ["ShmComm", "run_spmd_shm", "SHM_THRESHOLD_BYTES"]
 SHM_THRESHOLD_BYTES = 1 << 18
 
 
-def _untrack(segment: shared_memory.SharedMemory) -> None:
-    """Unregister an *attached* segment from the resource tracker.
+_ATTACH_LOCK = threading.Lock()
 
-    Attaching registers the name with ``multiprocessing.resource_tracker``
-    exactly like creating does (fixed by ``track=False`` only in 3.13+), so
-    without this every worker attachment would trigger a bogus
-    "leaked shared_memory" unlink attempt at interpreter shutdown.  Only
-    the creator should remain registered.
+
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment without messaging the resource tracker.
+
+    Only a segment's creator may be registered.  Before Python 3.13
+    attaching registers the name too, and forked ranks share their
+    creator's tracker, so an attach-then-unregister cycle would delete the
+    creator's own registration and its later unlink would make the
+    tracker print a ``KeyError`` traceback.  Older interpreters therefore
+    skip exactly this name's registration while attaching.
     """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
+    if sys.version_info >= (3, 13):  # pragma: no cover - newer interpreters
+        return shared_memory.SharedMemory(name=name, track=False)
+    register = resource_tracker.register
 
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except Exception:
-        pass
+    def register_others(rname: str, rtype: str) -> None:
+        if rname.lstrip("/") != name.lstrip("/"):
+            register(rname, rtype)
+
+    with _ATTACH_LOCK:
+        resource_tracker.register = register_others
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
 
 
 class ShmComm(ProcessComm):
@@ -91,8 +105,7 @@ class ShmComm(ProcessComm):
     def _map(self, meta: tuple) -> tuple[shared_memory.SharedMemory, np.ndarray]:
         """Attach a peer's segment and return a read-only ndarray view."""
         name, shape, dtype = meta
-        segment = shared_memory.SharedMemory(name=name)
-        _untrack(segment)
+        segment = _attach(name)
         view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=segment.buf)
         view.flags.writeable = False
         return segment, view

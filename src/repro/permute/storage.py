@@ -11,8 +11,10 @@ implementations described in Section 3.1.
 :class:`StoredPermutations` wraps any source generator, materialises a chosen
 index range ``[start, start + count)`` into a matrix, and then replays it as
 a :class:`~repro.permute.base.PermutationGenerator`.  In the parallel setting
-each rank stores only its own chunk — the memory cost is ``count / P`` rows
-per rank, matching the C implementation's behaviour.
+a rank stores only the block it is computing, and it keeps one source for
+all its blocks: the source moves forward from block to block and rewinds
+only for a block behind it, so a sequential stream is not replayed from
+the start for every block.
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ class StoredPermutations(PermutationGenerator):
     The stored matrix replays with the same indexing contract as the source:
     ``at(i)`` of this generator equals ``at(start + i)`` of the source.  When
     ``start == 0`` the first stored row is therefore the observed labelling.
+    The source is forwarded from its current position to ``start``, and
+    rewound first only when it already stands past ``start``.
     """
 
     def __init__(self, source: PermutationGenerator, start: int = 0,
@@ -81,8 +85,9 @@ class StoredPermutations(PermutationGenerator):
             self.start = start
             return
         self.start = int(start)
-        source.reset()
-        source.skip(start)
+        if source.position > start:
+            source.reset()
+        source.skip(start - source.position)
         self._matrix = source.take_batch(count)
         self._matrix.flags.writeable = False
 

@@ -162,14 +162,16 @@ class TestOptionPlumbing:
 
     def test_engine_never_enters_cache_or_checkpoint_keys(
             self, small_two_class):
-        from repro.core.checkpoint import problem_fingerprint, result_cache_key
+        from repro.core.checkpoint import checkpoint_key, result_cache_key
 
         X, labels, _ = small_two_class
         plain = validate_options(labels, B=200)
         tuned = validate_options(labels, B=200, engine="numpy")
         assert result_cache_key("fp", plain) == result_cache_key("fp", tuned)
-        assert problem_fingerprint(X, labels, plain, 0, 200) == \
-            problem_fingerprint(X, labels, tuned, 0, 200)
+        # The checkpoint key is built on the cache key, so it follows.
+        assert checkpoint_key(result_cache_key("fp", plain), 200, (0, 200),
+                              64) == \
+            checkpoint_key(result_cache_key("fp", tuned), 200, (0, 200), 64)
 
     def test_cli_exposes_engine_flags(self):
         parser = build_parser()

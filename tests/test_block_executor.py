@@ -8,8 +8,8 @@ is a block plan executed by the steal protocol's master/worker loops:
 * counts reach the master on the protocol's messages, so no collective
   count reduction runs;
 * a one-rank world never needs any-source receive;
-* a static-plan checkpoint keeps the ``rank<r>.npz`` file and fingerprint
-  of a rank-chunk checkpoint, so an interrupted run's directory resumes;
+* a checkpoint is the master's block ledger, so a run resumes from any
+  set of done blocks and computes only the others;
 * the master counts itself as busy while computing, so elastic BLAS caps
   never widen it while a worker still computes.
 """
@@ -19,11 +19,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.checkpoint as checkpoint_mod
 import repro.core.pmaxt as pmaxt_mod
 from repro import mt_maxT, pmaxT
-from repro.core.checkpoint import CheckpointStore, problem_fingerprint
-from repro.core.kernel import compute_observed, run_kernel
+from repro.core.checkpoint import (
+    CheckpointStore,
+    checkpoint_key,
+    dataset_fingerprint,
+    result_cache_key,
+)
+from repro.core.kernel import KernelCounts, compute_observed, run_kernel
 from repro.core.options import build_generator, build_statistic, validate_options
 from repro.core.partition import (
     Block,
@@ -118,33 +122,40 @@ class TestOneExecutionPath:
 class TestStaticCheckpoint:
     def test_interrupted_rank_chunk_resumes(self, dataset, tmp_path,
                                             monkeypatch):
-        """A ``rank1.npz`` left by an interrupted run is resumed, not redone."""
+        """Blocks in a ledger left by an interrupted run are not redone."""
         X, y = dataset
-        B, ranks = 300, 3
+        B, ranks, interval = 300, 3, 40
         options = validate_options(y, B=B)
-        data = np.ascontiguousarray(X, dtype=np.float64)
-        chunk = partition_permutations(B, ranks).chunk_for(1)
-        stat = build_statistic(options, data, y)
+        stat = build_statistic(options, X, y)
         observed = compute_observed(stat, options.side)
-        done = run_kernel(stat, build_generator(options, y), observed,
-                          options.side, start=chunk.start, count=chunk.count)
-        CheckpointStore(tmp_path, rank=1).save(
-            problem_fingerprint(data, y, options, chunk.start, chunk.count),
-            chunk.count, done)
+        blocks = carve_blocks(0, B, interval)
+        done = (1, 3)  # out of order: any set of done blocks resumes
+        counts = KernelCounts.zeros(observed.m)
+        for bid in done:
+            counts += run_kernel(stat, build_generator(options, y), observed,
+                                 options.side, start=blocks[bid].start,
+                                 count=blocks[bid].count)
+        key = checkpoint_key(result_cache_key(dataset_fingerprint(X, y),
+                                              options),
+                             options.nperm, (0, B), interval)
+        CheckpointStore(tmp_path, key).save(done, counts)
 
         starts = []
-        real = checkpoint_mod.run_kernel
+        real = pmaxt_mod.run_kernel
 
         def spy(*args, **kwargs):
             starts.append(kwargs["start"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(checkpoint_mod, "run_kernel", spy)
+        monkeypatch.setattr(pmaxt_mod, "run_kernel", spy)
         res = pmaxT(X, y, B=B, backend="threads", ranks=ranks,
-                    checkpoint_dir=str(tmp_path), checkpoint_interval=40)
+                    checkpoint_dir=str(tmp_path),
+                    checkpoint_interval=interval)
         _same(res, mt_maxT(X, y, B=B))
-        assert starts and not any(chunk.start <= s < chunk.stop for s in starts)
-        assert not any(tmp_path.glob("rank*.npz"))
+        assert starts
+        assert not any(blocks[bid].start <= s < blocks[bid].stop
+                       for s in starts for bid in done)
+        assert not any(tmp_path.glob("ckpt-*.npz"))
 
 
 @pytest.mark.skipif(not blas_available(), reason="no BLAS runtime control")

@@ -14,6 +14,8 @@ import glob
 import os
 import pickle
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +239,36 @@ class TestLifecycle:
                 seg for seg in glob.glob("/dev/shm/psm_*")
                 if os.stat(seg).st_uid == os.getuid()
                 and abs(os.stat(seg).st_size - X.nbytes) == 0)
+
+    def test_sequential_sessions_leave_stderr_clean(self, tmp_path):
+        """Worker attachments never message the shared resource tracker.
+
+        A session opened after the tracker started shares it with its
+        forked workers; an attachment that unregistered its name there
+        made the publisher's later unlink print a ``KeyError`` traceback.
+        """
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        script = tmp_path / "sessions.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from repro import pmaxT\n"
+            "from repro.mpi import open_session\n"
+            "rng = np.random.default_rng(0)\n"
+            "y = np.array([0] * 20 + [1] * 20)\n"
+            "for _ in range(3):\n"
+            "    with open_session('shm', 2) as ses:\n"
+            "        X = rng.normal(size=(4000, 40))\n"
+            "        pmaxT(ses.publish(X, y), session=ses, B=100)\n"
+            "        pmaxT(X, y, session=ses, B=100)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        before = set(glob.glob("/dev/shm/psm_*"))
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
     def test_attach_stale_route_raises(self):
         with pytest.raises(DataError, match="no longer exists"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,8 +118,12 @@ class TestBuildGenerator:
     def test_store_slice(self):
         labels = two_class_labels(10, 10)
         o = validate_options(labels, B=100, fixed_seed_sampling="n")
-        gen = build_generator(o, labels, store_slice=(40, 10))
+        # pmaxT's per-block slice of the stored stream.
+        source = build_generator(replace(o, store=False), labels)
+        gen = StoredPermutations(source, 40, 10)
         assert gen.nperm == 10 and gen.start == 40
+        full = build_generator(o, labels)
+        np.testing.assert_array_equal(gen.matrix, full.matrix[40:50])
 
     def test_complete_two_sample(self):
         labels = two_class_labels(4, 4)

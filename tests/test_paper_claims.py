@@ -191,7 +191,7 @@ class TestSection44Observations:
     def test_faster_execution_reduces_failure_exposure(self):
         """'an implementation that performs the same amount of work faster
         is preferred' — combined with checkpointing (future work 1), a
-        crash loses at most one checkpoint interval of work."""
+        crash loses at most one checkpoint block per rank."""
         from repro.core.checkpoint import CheckpointStore
 
         # behavioural proxy: the checkpoint store records progress
@@ -204,10 +204,14 @@ class TestSection44Observations:
 class TestSection6FutureWork:
     """All three future-work items are implemented."""
 
-    def test_item1_checkpointing(self):
-        from repro.core import checkpoint
-
-        assert callable(checkpoint.run_kernel_resumable)
+    def test_item1_checkpointing(self, tmp_path):
+        X, _ = synthetic_expression(20, 10, n_class1=5, seed=4)
+        labels = two_class_labels(5, 5)
+        res = pmaxT(X, labels, B=120, checkpoint_dir=str(tmp_path),
+                    checkpoint_interval=32)
+        np.testing.assert_array_equal(res.adjp,
+                                      mt_maxT(X, labels, B=120).adjp)
+        assert not any(tmp_path.iterdir())  # the ledger is cleared
 
     def test_item2_inplace_transpose(self):
         from repro.core.transpose import transpose_inplace

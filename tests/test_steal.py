@@ -6,9 +6,10 @@ The tentpole guarantees pinned here:
   on every backend, under any induced skew (throttled master, throttled
   worker) and any block size — the schedule decides who computes each
   block, never what is computed;
-* ``schedule="auto"`` engages stealing whenever the run supports it and
-  falls back to the static plan (not an error) when it does not; explicit
-  ``schedule="steal"`` in an unsupported run is an
+* ``schedule="auto"`` steals in every multi-rank world, stored and
+  checkpointed runs included, and uses the static plan in a one-rank
+  world; explicit ``schedule="steal"`` on one rank, and a checkpoint with
+  ``schedule="static"`` or ``steal_block``, are an
   :class:`~repro.errors.OptionError`;
 * the master's :class:`~repro.core.steal.BlockLedger` proves exact cover
   — every permutation block computed exactly once;
@@ -28,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import pmaxT
+from repro import mt_maxT, pmaxT
 from repro.core.partition import Block, carve_blocks, plan_initial_runs
 from repro.core.steal import (
     DEFAULT_STEAL_BLOCK,
@@ -404,6 +405,9 @@ class TestBitIdentity:
 # -- schedule resolution ----------------------------------------------------
 
 
+_BAD_BLOCK_SIZES = [0, 2.5, "x", float("nan"), True]
+
+
 class TestScheduleResolution:
     def test_bad_schedule_rejected(self, dataset):
         X, y = dataset
@@ -411,48 +415,73 @@ class TestScheduleResolution:
             pmaxT(X, y, B=100, backend="threads", ranks=2,
                   schedule="dynamic")
 
-    def test_bad_steal_block_rejected(self, dataset):
+    @pytest.mark.parametrize("value", _BAD_BLOCK_SIZES)
+    def test_bad_steal_block_rejected(self, dataset, value):
         X, y = dataset
         with pytest.raises(OptionError, match="steal_block"):
-            pmaxT(X, y, B=100, backend="threads", ranks=2, steal_block=0)
+            pmaxT(X, y, B=100, backend="threads", ranks=2, steal_block=value)
+
+    @pytest.mark.parametrize("value", _BAD_BLOCK_SIZES)
+    def test_bad_checkpoint_interval_rejected(self, dataset, tmp_path, value):
+        X, y = dataset
+        with pytest.raises(OptionError, match="checkpoint_interval"):
+            pmaxT(X, y, B=100, backend="threads", ranks=2,
+                  checkpoint_dir=str(tmp_path), checkpoint_interval=value)
 
     def test_explicit_steal_needs_ranks(self, dataset):
         X, y = dataset
         with pytest.raises(OptionError, match="one-rank"):
             pmaxT(X, y, B=100, schedule="steal")
 
-    def test_explicit_steal_rejects_stored_mode(self, dataset):
+    @pytest.mark.parametrize("block", [7, 40, 300])
+    def test_explicit_steal_runs_stored_mode(self, dataset, block):
         X, y = dataset
-        with pytest.raises(OptionError, match="stored"):
-            pmaxT(X, y, B=100, backend="threads", ranks=2,
-                  fixed_seed_sampling="n", schedule="steal")
+        serial = mt_maxT(X, y, B=300, fixed_seed_sampling="n", chunk_size=16)
+        _same(pmaxT(X, y, B=300, backend="threads", ranks=3, chunk_size=16,
+                    fixed_seed_sampling="n", schedule="steal",
+                    steal_block=block), serial)
 
-    def test_explicit_steal_rejects_checkpointing(self, dataset, tmp_path):
+    def test_checkpoint_rejects_static_and_steal_block(self, dataset,
+                                                       tmp_path):
         X, y = dataset
-        with pytest.raises(OptionError, match="checkpoint"):
-            pmaxT(X, y, B=100, backend="threads", ranks=2,
-                  schedule="steal", checkpoint_dir=str(tmp_path))
+        for knob in (dict(schedule="static"), dict(steal_block=50)):
+            with pytest.raises(OptionError, match="checkpoint"):
+                pmaxT(X, y, B=100, backend="threads", ranks=2,
+                      checkpoint_dir=str(tmp_path), **knob)
+        _same(pmaxT(X, y, B=100, backend="threads", ranks=2,
+                    schedule="steal", checkpoint_dir=str(tmp_path)),
+              mt_maxT(X, y, B=100))
 
-    def test_auto_falls_back_to_static(self, dataset, tmp_path):
-        """auto silently uses the static plan where stealing can't run."""
+    def test_auto_falls_back_to_static(self, dataset, monkeypatch):
+        """auto uses the static plan only in a one-rank world."""
+        import repro.core.pmaxt as pmaxt_mod
+
         X, y = dataset
-        # Stored mode samples per rank-chunk, so compare auto against an
-        # explicit static run of the same world — not against serial.
-        stored_auto = pmaxT(X, y, B=200, backend="threads", ranks=2,
-                            fixed_seed_sampling="n")
-        stored_static = pmaxT(X, y, B=200, backend="threads", ranks=2,
-                              fixed_seed_sampling="n", schedule="static")
-        _same(stored_auto, stored_static)
-        ckpt = pmaxT(X, y, B=200, backend="threads", ranks=2,
-                     checkpoint_dir=str(tmp_path))
-        _same(ckpt, pmaxT(X, y, B=200))
+        calls = []
+        real = pmaxt_mod.run_kernel
 
-    def test_auto_engages_on_session(self, dataset):
+        def spy(*args, **kwargs):
+            calls.append((kwargs["start"], kwargs["count"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pmaxt_mod, "run_kernel", spy)
+        _same(pmaxT(X, y, B=200, fixed_seed_sampling="n"),
+              mt_maxT(X, y, B=200, fixed_seed_sampling="n"))
+        assert calls == [(0, 200)]
+
+    def test_auto_engages_on_session(self, dataset, tmp_path):
         X, y = dataset
         with open_session("shm", 3) as ses:
             pmaxT(X, y, B=400, session=ses)  # schedule defaults to auto
+            # Stored and checkpointed runs steal too, bit-identically.
+            _same(pmaxT(X, y, B=400, session=ses, fixed_seed_sampling="n"),
+                  mt_maxT(X, y, B=400, fixed_seed_sampling="n"))
+            _same(pmaxT(X, y, B=400, session=ses,
+                        checkpoint_dir=str(tmp_path),
+                        checkpoint_interval=64),
+                  mt_maxT(X, y, B=400))
             stats = ses.stats()
-        assert stats["steal_jobs"] == 1
+        assert stats["steal_jobs"] == 3
 
     def test_default_block_size(self):
         assert DEFAULT_STEAL_BLOCK == 256
@@ -530,7 +559,8 @@ class TestSingleRankRespawn:
                              ids=["static", "checkpointed"])
     def test_kill_mid_static_job_recovers(self, dataset, monkeypatch,
                                           tmp_path, checkpointed):
-        """Static plans run on the same executor, so they recover too."""
+        """Static and checkpointed plans run on the same executor, so
+        they recover too."""
         X, y = dataset
         serial = pmaxT(X, y, B=900)
         # Set before the pool forks, so every rank is throttled: each
@@ -570,5 +600,6 @@ class TestSingleRankRespawn:
         assert pids_after[1] != victim
         assert stats["spawns"] == 1, "full pool respawn defeats the point"
         assert stats["rank_respawns"] == 1
-        assert stats["steal_jobs"] == 0
-        assert not any(tmp_path.glob("rank*.npz"))
+        # A checkpointed job steals its checkpoint_interval blocks.
+        assert stats["steal_jobs"] == (2 if checkpointed else 0)
+        assert not any(tmp_path.glob("ckpt-*.npz"))
