@@ -138,7 +138,24 @@ class TestGoldenFingerprints:
                 na=-93074815.0, nonpara="n", seed=12345, chunk_size=64,
                 complete_limit=0)
 
-    def test_checkpoint_key(self):
+    # A checkpointed problem is addressed by its checkpoint_key: the
+    # result-cache key (dataset, options, dtype) plus the block plan.
+    def test_problem_fingerprint_float64(self):
+        fp = dataset_fingerprint(self.X, self.y)
+        o = validate_options(self.y, dtype="float64", **self.OPTS)
+        assert checkpoint_key(result_cache_key(fp, o), 512, (0, 512),
+                              64) == (
+            "9e9d39022e9a9ef6648582da39ec99e75b6e28125472cdaf97a5ae1acdc07561")
+
+    def test_problem_fingerprint_float32(self):
+        X32 = np.ascontiguousarray(self.X, dtype=np.float32)
+        fp = dataset_fingerprint(X32, self.y)
+        o = validate_options(self.y, dtype="float32", **self.OPTS)
+        assert checkpoint_key(result_cache_key(fp, o), 512, (0, 512),
+                              64) == (
+            "bf25c13a0b715f4e61eefc1356130464ffd5ce10dc76b8e34f8e0ab03dcb2adb")
+
+    def test_problem_fingerprint_ranged(self):
         fp = dataset_fingerprint(self.X, self.y)
         o = validate_options(self.y, dtype="float64", **self.OPTS)
         assert checkpoint_key(result_cache_key(fp, o), 512, (128, 512),
