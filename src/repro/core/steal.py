@@ -45,13 +45,13 @@ widens its own pool while a worker is still computing.
 
 Fault granularity: when a worker dies mid-job the session's health watcher
 raises :class:`~repro.errors.WorkerDeadError` inside the master's blocking
-receive.  If the communicator exposes an ``_acknowledge_dead`` hook (the
-persistent :class:`~repro.mpi.session.WorkerPoolSession` attaches one), the
-master requeues exactly the dead rank's in-flight blocks and finishes with
-the survivors — their warm ``resident_cache()`` workspaces and published
-dataset attachments are untouched, and the session respawns only the dead
-rank afterwards.  Without the hook (one-shot worlds) the error propagates
-and the world tears down as before.
+receive.  If the communicator exposes an ``_acknowledge_dead`` hook (every
+:class:`~repro.mpi.session.WorkerPoolSession` attaches one, one-shot pools
+included), the master requeues exactly the dead rank's in-flight blocks
+and finishes with the survivors — their warm ``resident_cache()``
+workspaces and published dataset attachments are untouched, and a
+persistent session respawns only the dead rank afterwards.  Without the
+hook the error propagates and the world tears down.
 """
 
 from __future__ import annotations

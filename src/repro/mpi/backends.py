@@ -37,10 +37,10 @@ from typing import Any, Callable
 
 from ..errors import CommunicatorError
 from .comm import Communicator
-from .processes import ProcessComm, run_spmd_processes
+from .processes import ProcessComm
 from .serial import SerialComm
 from .session import BackendSession, EphemeralSession, WorkerPoolSession
-from .shm import ShmComm, run_spmd_shm
+from .shm import ShmComm
 from .threads import run_spmd
 
 __all__ = [
@@ -140,18 +140,20 @@ class ThreadBackend(Backend):
 
 
 class ProcessBackend(Backend):
-    """Forked OS processes; payloads pickled through per-rank queues."""
+    """Forked OS processes; payloads pickled through per-rank queues.
+
+    Every world of this backend (and of :class:`ShmBackend`) is a
+    :class:`~repro.mpi.session.WorkerPoolSession` with rank 0 in the
+    caller: :meth:`run` opens one for a single job and closes it again.
+    """
 
     name = "processes"
-    #: Communicator class a persistent session's ranks run against.
+    #: Communicator class the pool's ranks run against.
     session_comm_cls: type[ProcessComm] = ProcessComm
 
     def run(self, fn: SpmdFunction, ranks: int, *,
             timeout: float | None = None) -> list[Any]:
-        ranks = self.check_ranks(ranks)
-        if timeout is None:
-            return run_spmd_processes(fn, ranks)
-        return run_spmd_processes(fn, ranks, timeout=timeout)
+        return self.open_session(ranks, job_timeout=timeout)._run_once(fn)
 
     def open_session(
         self,
@@ -160,18 +162,15 @@ class ProcessBackend(Backend):
         blas_threads: int | None = None,
         idle_timeout: float | None = None,
         job_timeout: float | None = None,
-    ) -> BackendSession:
+    ) -> WorkerPoolSession:
         """A persistent pool: workers forked once, jobs dispatched warm."""
-        kwargs: dict[str, Any] = {}
-        if job_timeout is not None:
-            kwargs["job_timeout"] = job_timeout
         return WorkerPoolSession(
             self.session_comm_cls,
             self.check_ranks(ranks),
             name=self.name,
             blas_threads=blas_threads,
             idle_timeout=idle_timeout,
-            **kwargs,
+            job_timeout=job_timeout,
         )
 
 
@@ -180,13 +179,6 @@ class ShmBackend(ProcessBackend):
 
     name = "shm"
     session_comm_cls = ShmComm
-
-    def run(self, fn: SpmdFunction, ranks: int, *,
-            timeout: float | None = None) -> list[Any]:
-        ranks = self.check_ranks(ranks)
-        if timeout is None:
-            return run_spmd_shm(fn, ranks)
-        return run_spmd_shm(fn, ranks, timeout=timeout)
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -312,29 +304,31 @@ def launch_master(
     """Launch (or reuse) a world for a convenience call; return rank 0's result.
 
     Shared preamble of ``pmaxT(..., backend=, ranks=, session=)`` and
-    ``pcor(...)``: reject a simultaneous ``comm=``, then dispatch through
-    a :class:`~repro.mpi.session.BackendSession` — the caller's persistent
-    one when ``session=`` is given, else a fresh ephemeral one-shot
-    session that preserves the pre-session semantics exactly (fork-based
-    worlds still carry ``fn``'s closure by fork).
+    ``pcor(...)``: reject a simultaneous ``comm=``, then dispatch over the
+    caller's persistent session when ``session=`` is given, else over a
+    one-shot world: on the ``processes``/``shm`` backends a
+    :class:`~repro.mpi.session.WorkerPoolSession` opened for this job and
+    closed afterwards (rank 0 runs in the caller), on every other backend
+    an :class:`~repro.mpi.session.EphemeralSession`.
 
     ``worker_fn`` is the picklable worker-rank callable a persistent
     session needs (see the session module's dispatch contract).  A
     caller-supplied ``session`` honours it on every backend (worker ranks
-    run ``worker_fn``, rank 0 runs ``fn``).  The ephemeral fallback below
-    deliberately does NOT pass it on: every rank runs ``fn`` there,
-    preserving the pre-session one-shot semantics exactly — so the two
-    callables must be behaviourally interchangeable for any caller that
-    supports both launch paths, as pmaxT/pcor's are (their worker halves
-    take every input from the master's broadcasts).
+    run ``worker_fn``, rank 0 runs ``fn``).  A one-shot world has no use
+    for it, so every rank runs ``fn`` there: the one-job pool forks its
+    workers with ``fn`` in hand (its closure travels by fork, nothing is
+    pickled), and an in-process world shares it directly.  The two
+    callables must therefore be behaviourally interchangeable for any
+    caller that supports both launch paths, as pmaxT/pcor's are (their
+    worker halves take every input from the master's broadcasts).
 
     ``blas_threads`` caps each rank's BLAS threadpool for the duration of
-    the world (``0`` disables capping).  The ``processes``/``shm`` worker
-    bootstrap applies an automatic ``max(1, cores // ranks)`` cap even
-    without it; an explicit value also covers the in-process backends,
-    whose shared pool is restored once the world completes.  A session
-    fixes the policy when it is opened, so combining ``session=`` with
-    ``blas_threads=`` is rejected.
+    the world (``0`` disables capping).  On ``processes``/``shm`` it goes
+    to the one-job pool, which applies an automatic ``max(1, cores //
+    ranks)`` cap even without it; an explicit value also covers the
+    in-process backends, whose shared pool is restored once the world
+    completes.  A session fixes the policy when it is opened, so combining
+    ``session=`` with ``blas_threads=`` is rejected.
 
     ``timeout`` bounds the job's execution in seconds (collectives and
     result collection) on either launch path; expiry raises
@@ -360,9 +354,12 @@ def launch_master(
         raise DataError(
             f"pass either comm= (an existing SPMD world) or backend=/"
             f"ranks= ({caller} launches the world), not both")
-    spec = DEFAULT_BACKEND if backend is None else backend
+    world = resolve_backend(DEFAULT_BACKEND if backend is None else backend)
     nranks = 1 if ranks is None else int(ranks)
-    one_shot = EphemeralSession(resolve_backend(spec), nranks, blas_threads=blas_threads)
+    if isinstance(world, ProcessBackend):
+        pool = world.open_session(nranks, blas_threads=blas_threads, job_timeout=timeout)
+        return pool._run_once(fn)[0]
+    one_shot = EphemeralSession(world, nranks, blas_threads=blas_threads)
     with one_shot:
         return one_shot.run(fn, timeout=timeout)[0]
 

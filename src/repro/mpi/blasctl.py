@@ -17,9 +17,13 @@ only throughput.
 
 Used by:
 
-* the ``processes``/``shm`` worker bootstrap
-  (:func:`repro.mpi.processes.run_spmd_processes`), which auto-caps each
-  rank to ``max(1, cores // ranks)`` threads;
+* :class:`repro.mpi.session.WorkerPoolSession`, the one driver of the
+  ``processes``/``shm`` worlds (one-shot runs are a pool opened for one
+  job).  Its ``blas_threads`` setting reaches the pool directly: each
+  forked worker applies :func:`apply_worker_cap` at bootstrap, and rank 0
+  — the calling process — runs each job under :func:`blas_thread_limit`
+  with the same budget (:func:`auto_blas_cap` by default), so the
+  caller's pool and environment are restored once the job ends;
 * :func:`repro.mpi.backends.launch_master`, which exposes an explicit
   ``blas_threads=`` override on ``pmaxT``/``pcor``/the CLI.
 """
@@ -41,7 +45,7 @@ __all__ = [
     "elastic_blas_cap",
     "apply_elastic_cap",
     "apply_worker_cap",
-    "worker_cap_override",
+    "auto_blas_cap",
 ]
 
 #: Environment variables that cap the threadpool of a BLAS/OpenMP runtime
@@ -227,61 +231,35 @@ def apply_elastic_cap(nactive: int, current: int | None,
     return cap
 
 
-#: Environment override consulted by the worker bootstrap when no explicit
-#: ``blas_threads`` reaches it (how :func:`worker_cap_override` ships the
-#: policy across the Backend.run interface, whose signature predates it).
-_CAP_ENV_VAR = "REPRO_BLAS_THREADS"
+def auto_blas_cap(world_size: int) -> int:
+    """The automatic per-rank cap: ``max(1, cores // world_size)``.
 
-
-@contextmanager
-def worker_cap_override(blas_threads: int):
-    """Ship a worker-bootstrap cap policy through the environment.
-
-    Worlds are forked while this context is active, so their bootstraps
-    see the policy; the caller's environment is restored on exit.
+    It only ever *lowers* the budget: a stricter limit already exported by
+    the user or a scheduler (e.g. ``OPENBLAS_NUM_THREADS=1`` on a shared
+    node) wins over the cores-per-rank heuristic.
     """
-    previous = os.environ.get(_CAP_ENV_VAR)
-    os.environ[_CAP_ENV_VAR] = str(int(blas_threads))
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(_CAP_ENV_VAR, None)
-        else:
-            os.environ[_CAP_ENV_VAR] = previous
+    cap = recommended_blas_threads(world_size)
+    for var in _THREAD_ENV_VARS:
+        try:
+            existing = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if existing > 0:
+            cap = min(cap, existing)
+    return cap
 
 
 def apply_worker_cap(world_size: int, blas_threads: int | None) -> None:
-    """Bootstrap hook run inside each ``processes``/``shm`` worker.
+    """Bootstrap hook run inside each forked ``processes``/``shm`` worker.
 
-    ``None`` defers to the :func:`worker_cap_override` environment policy
-    if one is set, else applies the automatic
-    ``max(1, cores // world_size)`` cap — the oversubscription fix.
+    ``None`` applies :func:`auto_blas_cap` — the oversubscription fix.
     ``0`` disables capping entirely (restoring the pre-fix behaviour for
-    measurement).  Workers are throwaway processes, so exporting the
-    ``*_NUM_THREADS`` variables here cannot leak into the parent.
+    measurement).  Workers are separate processes, so exporting the
+    ``*_NUM_THREADS`` variables here cannot leak into the caller.
     """
-    if blas_threads is None:
-        env = os.environ.get(_CAP_ENV_VAR)
-        if env:
-            blas_threads = int(env)
     if blas_threads == 0:
         return
-    if blas_threads is None:
-        # Automatic mode must only ever *lower* the budget: a stricter
-        # limit already exported by the user or a scheduler
-        # (e.g. OPENBLAS_NUM_THREADS=1 on a shared node) wins over the
-        # cores-per-rank heuristic.
-        cap = recommended_blas_threads(world_size)
-        for var in _THREAD_ENV_VARS:
-            try:
-                existing = int(os.environ.get(var, ""))
-            except ValueError:
-                continue
-            if existing > 0:
-                cap = min(cap, existing)
-    else:
-        cap = int(blas_threads)
+    cap = auto_blas_cap(world_size) if blas_threads is None else int(blas_threads)
     for var in _THREAD_ENV_VARS:
         os.environ[var] = str(cap)
     set_blas_threads(cap)

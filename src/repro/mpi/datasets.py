@@ -343,9 +343,8 @@ def attach_published_view(route: SegmentRoute) -> np.ndarray:
     name, shape, dtype = route
     cache = resident_cache()
     if cache is None:
-        # No session: memoise per-process instead.  The worker is
-        # short-lived (one-shot worlds) so the mapping's lifetime is
-        # bounded by the process's.
+        # No session (a custom world): memoise per-process instead; the
+        # mapping's lifetime is bounded by the process's.
         cache = _FALLBACK_ATTACHMENTS
         key: Any = name
     else:

@@ -1,12 +1,11 @@
 """Process-based SPMD world (real OS processes, like MPI ranks).
 
-SPRINT's ranks are OS processes, not threads.  :func:`run_spmd_processes`
-reproduces that: it forks ``size`` worker processes, each executing the
-same function against a :class:`ProcessComm`, and collects the rank-ordered
-results.  Collectives are routed through per-rank queues with rank 0 acting
-as the coordinator of a star topology — semantically equivalent to (if
-slower than) MPI's trees, and entirely adequate for the control-plane
-volumes pmaxT moves (options, the dataset broadcast, two count vectors).
+SPRINT's ranks are OS processes, not threads.  :class:`ProcessComm` is the
+per-rank communicator of that world: collectives are routed through
+per-rank queues with rank 0 acting as the coordinator of a star topology
+— semantically equivalent to (if slower than) MPI's trees, and entirely
+adequate for the control-plane volumes pmaxT moves (options, the dataset
+broadcast, two count vectors).
 
 Trade-offs versus :class:`~repro.mpi.threads.ThreadComm`:
 
@@ -17,23 +16,20 @@ Trade-offs versus :class:`~repro.mpi.threads.ThreadComm`:
 * requires the ``fork`` start method for closures to travel (the default
   on Linux).
 
-Failure handling: a crashing rank ships its exception back through the
-result queue; the parent terminates the survivors and re-raises.
-
-This driver stands the world up and tears it down per call — the right
-trade for a single run.  Callers that dispatch many jobs against the same
-rank count should hold a persistent world instead:
-:class:`~repro.mpi.session.WorkerPoolSession` keeps these workers (and
-their queues, communicators and per-rank caches) resident across jobs.
+Every process world is a :class:`~repro.mpi.session.WorkerPoolSession`,
+the one place that forks worker ranks: as in SPRINT, the calling process
+is rank 0 (the master) and the other ranks are forked workers.
+:func:`run_spmd_processes` is the one-shot form — a pool opened for one
+job and closed afterwards, its workers forked with the job in hand so
+closures travel by fork.  Callers that dispatch many jobs against the same
+rank count keep the pool open instead (:func:`~repro.mpi.backends.
+open_session`), so workers, queues and per-rank caches stay resident.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import pickle
 import queue as queue_mod
-import time
-import traceback
 from typing import Any, Callable
 
 import numpy as np
@@ -74,8 +70,7 @@ class ProcessComm(Communicator):
 
     #: Session hooks attached to the master-rank communicator by
     #: :class:`~repro.mpi.session.WorkerPoolSession`; the work-stealing
-    #: scheduler reads them via ``getattr``.  ``None`` on worker ranks and
-    #: in one-shot worlds.
+    #: scheduler reads them via ``getattr``.  ``None`` on worker ranks.
     _acknowledge_dead: Callable[[int], None] | None = None
     _on_steal_stats: Callable[[dict], None] | None = None
 
@@ -309,58 +304,6 @@ class ProcessComm(Communicator):
         if not 0 <= root < self._size:
             raise CommunicatorError(f"root {root} out of range [0, {self._size})")
 
-    def _cleanup(self) -> None:
-        """Release per-rank resources; runs in the worker after ``fn``.
-
-        Subclass hook — :class:`~repro.mpi.shm.ShmComm` closes its
-        shared-memory segments here.  The base world has nothing to free.
-        """
-
-
-def _worker(comm_cls, fn, rank, size, inboxes, results,
-            timeout, blas_threads=None):  # pragma: no cover
-    # (covered indirectly — runs in the child process)
-    try:
-        # Cap this rank's BLAS pool before any GEMM spins it up: with
-        # `size` ranks sharing the host, an uncapped pool would schedule
-        # size x cores runnable threads (the classic oversubscription
-        # thrash).  None = auto cap; 0 = leave the pool alone.
-        from .blasctl import apply_worker_cap
-
-        apply_worker_cap(size, blas_threads)
-        comm = comm_cls(rank, size, inboxes, timeout)
-        try:
-            results.put((rank, True, fn(comm)))
-        finally:
-            comm._cleanup()
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        results.put((rank, False, (type(exc).__name__, str(exc), traceback.format_exc())))
-
-
-def _drain(q) -> list:
-    """Empty a queue without blocking; tolerate closed/broken queues."""
-    out = []
-    while True:
-        try:
-            out.append(q.get_nowait())
-        except (queue_mod.Empty, OSError, ValueError, EOFError):
-            return out
-
-
-def _join_or_kill(procs, timeout: float = 30.0) -> None:
-    """Join every process, escalating to SIGKILL on stragglers.
-
-    Shared teardown tail of the one-shot driver below and the persistent
-    :class:`~repro.mpi.session.WorkerPoolSession`: after a terminate (or a
-    graceful stop), anything still alive is forcibly reaped so the caller
-    can safely close the queues.
-    """
-    for p in procs:
-        p.join(timeout=timeout)
-        if p.is_alive():  # terminated mid-flush; escalate
-            p.kill()
-            p.join(timeout=5)
-
 
 def run_spmd_processes(
     fn: Callable[[Communicator], Any],
@@ -369,86 +312,27 @@ def run_spmd_processes(
     comm_cls: type[ProcessComm] = ProcessComm,
     blas_threads: int | None = None,
 ) -> list[Any]:
-    """Run ``fn(comm)`` on ``size`` OS processes; return rank-ordered results.
+    """Run ``fn(comm)`` on ``size`` ranks; return rank-ordered results.
 
-    Requires a picklable-under-fork ``fn`` (plain functions and closures
-    are fine on Linux).  If any rank raises, the survivors are terminated
-    and a :class:`CommunicatorError` carrying the child's traceback is
-    raised in the caller.
+    A :class:`~repro.mpi.session.WorkerPoolSession` opened for this one
+    job: rank 0 runs ``fn`` in the caller, the ``size - 1`` worker ranks
+    are forked with ``fn`` in hand (plain functions and closures are fine
+    on Linux; nothing is pickled), and the pool is closed afterwards.  An
+    exception on rank 0 propagates with its own type; a failing worker
+    raises a :class:`CommunicatorError` carrying its traceback, and a dead
+    one a :class:`~repro.errors.WorkerDeadError` within the session's
+    health-poll interval.
 
+    ``timeout`` bounds every collective and the result collection.
     ``comm_cls`` selects the per-rank communicator (default
-    :class:`ProcessComm`); :func:`~repro.mpi.shm.run_spmd_shm` reuses this
-    driver with :class:`~repro.mpi.shm.ShmComm`.
-
-    ``blas_threads`` caps each rank's BLAS threadpool before ``fn`` runs:
-    ``None`` (default) applies the automatic ``max(1, cores // size)``
-    anti-oversubscription cap, an explicit integer forces that budget, and
-    ``0`` leaves the pool untouched (see :mod:`repro.mpi.blasctl`).
+    :class:`ProcessComm`; :func:`~repro.mpi.shm.run_spmd_shm` passes
+    :class:`~repro.mpi.shm.ShmComm`).  ``blas_threads`` caps each rank's
+    BLAS threadpool while ``fn`` runs: ``None`` (default) applies the
+    automatic ``max(1, cores // size)`` anti-oversubscription cap, an
+    explicit integer forces that budget, and ``0`` leaves the pool
+    untouched (see :mod:`repro.mpi.blasctl`).
     """
-    if size <= 0:
-        raise CommunicatorError(f"world size must be positive, got {size}")
-    ctx = mp.get_context("fork")
-    inboxes = [ctx.Queue() for _ in range(size)]
-    results_q = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_worker,
-            args=(comm_cls, fn, rank, size, inboxes, results_q, timeout, blas_threads),
-            name=f"spmd-proc-{rank}",
-        )
-        for rank in range(size)
-    ]
-    for p in procs:
-        p.start()
-    results: list[Any] = [None] * size
-    failure: tuple | None = None
-    try:
-        for _ in range(size):
-            try:
-                rank, ok, payload = results_q.get(timeout=timeout)
-            except queue_mod.Empty:
-                raise CommunicatorError(
-                    "timed out waiting for rank results"
-                ) from None
-            if ok:
-                results[rank] = payload
-            elif failure is None:
-                failure = (rank, payload)
-                break
-    finally:
-        if failure is not None:
-            # Drain the queues *before* terminating survivors: a rank that
-            # finished normally may be blocked in its queue feeder flushing
-            # a large result — or a collective payload addressed to the
-            # crashed rank — into a full pipe, and would hang the joins
-            # below (then be killed mid-flush) if nobody reaps its entries.
-            # Draining is only safe while the writers are alive (a reader
-            # never sees a truncated frame from a live feeder), which is
-            # exactly the window this loop covers.
-            grace = time.monotonic() + 2.0
-            while any(p.is_alive() for p in procs) and \
-                    time.monotonic() < grace:
-                for entry in _drain(results_q):
-                    entry_rank, ok, payload = entry
-                    if ok:
-                        results[entry_rank] = payload
-                for q in inboxes:
-                    _drain(q)
-                time.sleep(0.01)
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-        _join_or_kill(procs, timeout=30)
-        # No draining after the kills: a feeder terminated mid-write leaves
-        # a truncated frame, and a get() on it would block forever.  With
-        # every child reaped, closing the parent's handles releases the
-        # pipes and their buffers.
-        for q in (*inboxes, results_q):
-            q.close()
-    if failure is not None:
-        rank, (name, message, tb) = failure
-        raise CommunicatorError(
-            f"rank {rank} failed with {name}: {message}\n--- child "
-            f"traceback ---\n{tb}"
-        )
-    return results
+    from .session import WorkerPoolSession
+
+    pool = WorkerPoolSession(comm_cls, size, blas_threads=blas_threads, job_timeout=timeout)
+    return pool._run_once(fn)

@@ -1,27 +1,28 @@
 """Persistent backend sessions: resident SPMD worker pools.
 
-The one-shot launchers (:func:`~repro.mpi.processes.run_spmd_processes`,
-:func:`~repro.mpi.shm.run_spmd_shm`) pay the full world cost on every call:
-``ranks`` process spawns, fresh queues, fresh shared-memory machinery and a
-cold :class:`~repro.core.kernel.KernelWorkspace` on every rank.  That is
-the right trade for a single ``pmaxT`` run and exactly the wrong one for a
-service that answers many calls against a warm pool — the paper's
-long-lived ``mpiexec`` allocation, which SPRINT keeps resident for the
-whole R script.
+The paper's SPRINT keeps one ``mpiexec`` allocation resident for the whole
+R script: the R process is the master (rank 0) and the worker ranks wait
+for it.  A :class:`BackendSession` is the Python analogue of that
+allocation:
 
-A :class:`BackendSession` is the Python analogue of that allocation:
-
-* :class:`WorkerPoolSession` (the ``processes``/``shm`` backends) forks the
-  worker ranks **once**.  The calling process is rank 0 — the SPRINT
-  master — and successive SPMD jobs are dispatched to the resident workers
-  as generation-tagged frames over the same per-rank queues the
-  collectives use.  Communicators, queues and per-rank caches (see
+* :class:`WorkerPoolSession` (the ``processes``/``shm`` backends) is the
+  one place that forks SPMD worker processes.  The calling process is
+  rank 0 — the SPRINT master — and ``ranks - 1`` workers are forked
+  **once**; successive SPMD jobs are dispatched to them as
+  generation-tagged frames over the same per-rank queues the collectives
+  use.  Communicators, queues and per-rank caches (see
   :func:`resident_cache`) stay warm across jobs; a crashed worker or a
   failed job tears the pool down and the next dispatch respawns it under a
   new generation tag, so stale frames can never be mistaken for live ones.
-* :class:`EphemeralSession` (every other backend, and the fallback used by
-  ``backend=``/``ranks=`` convenience calls) launches a fresh world per
-  job through ``Backend.run`` — the exact pre-session semantics.  For the
+  While rank 0 waits, it checks worker health every 0.1 s, so a dead
+  worker raises :class:`~repro.errors.WorkerDeadError` promptly.
+  A one-shot ``backend=``/``ranks=`` call on these backends
+  (:func:`~repro.mpi.processes.run_spmd_processes`,
+  :func:`~repro.mpi.shm.run_spmd_shm`, ``Backend.run``) is a pool opened
+  for that one job and closed afterwards: its workers are forked with the
+  job in hand, so closures travel by fork and need no pickling.
+* :class:`EphemeralSession` (the in-process backends and custom ones)
+  launches a fresh world per job through ``Backend.run``.  For the
   in-process backends it still provides per-rank resident caches, so a
   threads session reuses kernel workspaces across calls too.
 
@@ -33,7 +34,8 @@ calling process — closures over local data are fine there) and
 ``worker_fn(comm)`` (default ``fn``) on every worker rank.  On a
 :class:`WorkerPoolSession` the worker callable crosses a queue, so it must
 be picklable — a module-level function or :func:`functools.partial` of
-one; the fork-based one-shot path has no such restriction.  Jobs are SPMD:
+one; a one-shot pool forks its workers with the job in hand and has no
+such restriction.  Jobs are SPMD:
 every rank must execute the same collective sequence and return, leaving
 no unconsumed traffic behind, before the session dispatches the next job.
 
@@ -81,8 +83,9 @@ from contextlib import contextmanager
 from typing import Any, Callable
 
 from ..errors import CommunicatorError, OptionError, WorkerDeadError
+from .blasctl import apply_worker_cap, auto_blas_cap, blas_thread_limit
 from .comm import Communicator
-from .processes import _DEFAULT_TIMEOUT, _join_or_kill, ProcessComm
+from .processes import _DEFAULT_TIMEOUT, ProcessComm
 
 __all__ = [
     "BackendSession",
@@ -387,15 +390,7 @@ class BackendSession(ABC):
         ``None`` or a positive, finite number of seconds
         (:class:`~repro.errors.OptionError` otherwise).
         """
-        if timeout is not None and not (
-            isinstance(timeout, numbers.Real)
-            and not isinstance(timeout, bool)
-            and 0 < timeout < math.inf
-        ):
-            raise OptionError(
-                f"timeout must be a positive, finite number of seconds or "
-                f"None, got {timeout!r}"
-            )
+        _check_timeout(timeout)
         self._assert_open()
         with self._submit_lock:
             self._assert_open()
@@ -563,6 +558,18 @@ class BackendSession(ABC):
         )
 
 
+def _check_timeout(timeout: float | None) -> None:
+    if timeout is not None and not (
+        isinstance(timeout, numbers.Real)
+        and not isinstance(timeout, bool)
+        and 0 < timeout < math.inf
+    ):
+        raise OptionError(
+            f"timeout must be a positive, finite number of seconds or "
+            f"None, got {timeout!r}"
+        )
+
+
 def _check_blas_threads(blas_threads: int | None) -> int | None:
     if blas_threads is not None and int(blas_threads) < 0:
         raise OptionError(
@@ -575,12 +582,13 @@ def _check_blas_threads(blas_threads: int | None) -> int | None:
 class EphemeralSession(BackendSession):
     """A session that stands up a fresh world per job through ``Backend.run``.
 
-    This is the fallback that preserves the one-shot semantics: fork-based
-    backends still carry closures by fork, in-process backends still share
-    the caller's address space.  What it adds over a bare ``run_backend``
+    The session of the in-process backends (``serial``, ``threads``) and of
+    custom ones; the ``processes``/``shm`` backends always run on a
+    :class:`WorkerPoolSession`.  What it adds over a bare ``run_backend``
     call is the session interface (so every consumer has one dispatch
     path) and, for in-process backends, per-rank resident caches that
-    survive across jobs.
+    survive across jobs.  ``blas_threads`` caps the calling process's
+    BLAS pool for each job's duration.
     """
 
     def __init__(self, backend, ranks: int, *, blas_threads: int | None = None):
@@ -626,9 +634,9 @@ class EphemeralSession(BackendSession):
         self._sweep_cache()
 
     def _publish_via_shm(self) -> bool:
-        # Fork-type one-shot worlds inherit nothing between jobs, so a
-        # published dataset must live in named shared memory for the next
-        # job's ranks to find it; in-process worlds share the view itself.
+        # An out-of-process custom world inherits nothing between jobs, so
+        # a published dataset must live in named shared memory for the
+        # next job's ranks to find it; in-process worlds share the view.
         return not self._backend.in_process
 
     def _compose(
@@ -653,21 +661,11 @@ class EphemeralSession(BackendSession):
 
     def _run_capped(self, job: SpmdFunction, timeout: float | None) -> list[Any]:
         backend, ranks, blas = self._backend, self._ranks, self._blas_threads
-        if blas is None:
+        # One shared pool: cap for the world's duration, restore after
+        # (None and 0 both leave the pool alone here).
+        if not blas:
             return backend.run(job, ranks, timeout=timeout)
-        from .blasctl import blas_thread_limit, worker_cap_override
-
-        if backend.in_process:
-            # One shared pool: cap for the world's duration, restore after
-            # (0 means "leave the pool alone", already the case here).
-            if blas == 0:
-                return backend.run(job, ranks, timeout=timeout)
-            with blas_thread_limit(blas):
-                return backend.run(job, ranks, timeout=timeout)
-        # Process-type world: the per-rank policy (including 0 = uncapped)
-        # must reach the worker *bootstrap*, which runs before the job;
-        # ship it through the environment the forked children inherit.
-        with worker_cap_override(blas):
+        with blas_thread_limit(blas):
             return backend.run(job, ranks, timeout=timeout)
 
 
@@ -682,10 +680,13 @@ def _pool_worker(
     blas_threads,
     parent_pid,
     start_opseq=0,
+    job=None,
 ):  # pragma: no cover - runs in the child process
-    """Resident worker main: serve job frames until stopped or orphaned."""
-    from .blasctl import apply_worker_cap
+    """Resident worker main: serve job frames until stopped or orphaned.
 
+    ``job`` is a one-shot pool's job, handed over by fork: it runs first,
+    as sequence 0 of this generation, with no frame and no pickling.
+    """
     apply_worker_cap(size, blas_threads)
     # The resident per-rank cache (see resident_cache()): created once per
     # pool incarnation, shared by every job this worker serves.
@@ -696,6 +697,8 @@ def _pool_worker(
     # world's sequence numbers equal across ranks, so the master's value
     # at respawn time is the right starting point.
     comm._opseq = start_opseq
+    if job is not None and not _serve_job(comm, results_q, generation, 0, job):
+        return
     inbox = inboxes[rank]
     while True:
         try:
@@ -719,29 +722,36 @@ def _pool_worker(
             # jobs, while a freshly respawned rank must drop the stale
             # frame of the job its predecessor died in.
             continue
-        try:
-            job = pickle.loads(wire)
-            result = job(comm)
-        except BaseException as exc:  # noqa: BLE001 - shipped to the master
-            results_q.put(
-                (
-                    gen,
-                    seq,
-                    rank,
-                    False,
-                    (type(exc).__name__, str(exc), traceback.format_exc()),
-                )
-            )
-            # The world's collective state is unknown after a failure; the
-            # master tears the pool down, so this worker retires too.
+        # Unpickled inside the job, so a bad frame fails like a bad job.
+        if not _serve_job(comm, results_q, gen, seq, lambda c: pickle.loads(wire)(c)):
             return
-        results_q.put((gen, seq, rank, True, result))
-        del job, result
-        prune = getattr(comm, "_prune_attached", None)
-        if prune is not None:
-            # Release shared-memory mappings whose broadcast views died
-            # with the job, so a long-lived worker cannot pin dead pages.
-            prune()
+
+
+def _serve_job(comm, results_q, gen, seq, job) -> bool:  # pragma: no cover
+    """Run one job on a worker and ship its result; False = retire."""
+    try:
+        result = job(comm)
+    except BaseException as exc:  # noqa: BLE001 - shipped to the master
+        results_q.put(
+            (
+                gen,
+                seq,
+                comm.rank,
+                False,
+                (type(exc).__name__, str(exc), traceback.format_exc()),
+            )
+        )
+        # The world's collective state is unknown after a failure; the
+        # master tears the pool down, so this worker retires too.
+        return False
+    results_q.put((gen, seq, comm.rank, True, result))
+    del result
+    prune = getattr(comm, "_prune_attached", None)
+    if prune is not None:
+        # Release shared-memory mappings whose broadcast views died
+        # with the job, so a long-lived worker cannot pin dead pages.
+        prune()
+    return True
 
 
 #: Whether per-process state can be read from /proc (Linux — the only
@@ -795,6 +805,19 @@ def _release_orphaned_reader_lock(q) -> None:
         lock.release()
     except ValueError:  # pragma: no cover - value already at maximum
         pass
+
+
+def _join_or_kill(procs, timeout: float) -> None:
+    """Join every process, escalating to SIGKILL on stragglers.
+
+    After a terminate (or a graceful stop), anything still alive is
+    forcibly reaped so the caller can safely close the queues.
+    """
+    for p in procs:
+        p.join(timeout=timeout)
+        if p.is_alive():  # terminated mid-flush; escalate
+            p.kill()
+            p.join(timeout=5)
 
 
 def _reap_pool(procs, queues):
@@ -856,7 +879,8 @@ class WorkerPoolSession(BackendSession):
 
     The calling process is rank 0; ``ranks - 1`` resident workers are
     forked at first dispatch (and respawned under a new generation tag
-    after a crash, a failed job, or an idle teardown).  Parameters:
+    after a crash, a failed job, or an idle teardown).  A one-shot run is
+    the same pool opened for one job (:meth:`_run_once`).  Parameters:
 
     comm_cls:
         Per-rank communicator class (:class:`~repro.mpi.processes.ProcessComm`
@@ -866,12 +890,14 @@ class WorkerPoolSession(BackendSession):
     blas_threads:
         Per-rank BLAS cap applied at worker bootstrap, and to the master's
         pool for the duration of each job (``None`` = automatic
-        ``cores // ranks``, ``0`` = uncapped).
+        ``cores // ranks``, ``0`` = uncapped).  The caller's environment
+        is never changed.
     idle_timeout:
         Seconds of inactivity after which the pool is torn down (the
         session stays open; the next job respawns).  ``None`` = never.
     job_timeout:
-        Communicator timeout and default per-job result deadline.
+        Communicator timeout and default per-job result deadline
+        (``None`` = 300 s).
     """
 
     def __init__(
@@ -882,16 +908,17 @@ class WorkerPoolSession(BackendSession):
         name: str | None = None,
         blas_threads: int | None = None,
         idle_timeout: float | None = None,
-        job_timeout: float = _DEFAULT_TIMEOUT,
+        job_timeout: float | None = None,
     ):
         if int(ranks) < 1:
             raise CommunicatorError(f"ranks must be >= 1, got {ranks}")
+        _check_timeout(job_timeout)
         super().__init__()
         self._comm_cls = comm_cls
         self._ranks = int(ranks)
         self._blas_threads = _check_blas_threads(blas_threads)
         self._idle_timeout = idle_timeout
-        self._job_timeout = float(job_timeout)
+        self._job_timeout = _DEFAULT_TIMEOUT if job_timeout is None else float(job_timeout)
         self.backend_name = name if name is not None else comm_cls.__name__
         self._lock = threading.RLock()
         self._closed = False
@@ -1000,6 +1027,26 @@ class WorkerPoolSession(BackendSession):
         self._next_seq += 1
         for dest in range(1, self._ranks):
             self._inboxes[dest].put((_JOB_KIND, gen, seq, wire))
+        return self._run_job(fn, gen, seq, timeout)
+
+    def _run_once(self, fn: SpmdFunction) -> list[Any]:
+        """Run ``fn`` on every rank as this pool's only job, then close it.
+
+        The one-shot path of the ``processes``/``shm`` backends.  The
+        workers are forked with ``fn`` in hand, so a closure travels by
+        fork and needs no pickling; rank 0 runs ``fn`` in the caller, and
+        results and faults are collected as for a dispatched job, within
+        the pool's ``job_timeout``.
+        """
+        try:
+            with self._lock:
+                self._spawn_pool(job=fn)
+                return self._run_job(fn, self._generation, 0, None)
+        finally:
+            self.close()
+
+    def _run_job(self, fn: SpmdFunction, gen: int, seq: int, timeout: float | None) -> list[Any]:
+        """Run rank 0's half of job ``(gen, seq)``; collect the workers'."""
         results: list[Any] = [None] * self._ranks
         try:
             results[0] = self._run_master(fn)
@@ -1034,13 +1081,9 @@ class WorkerPoolSession(BackendSession):
     def _run_master(self, fn: SpmdFunction) -> Any:
         cap = self._blas_threads
         if cap is None:
-            from .blasctl import recommended_blas_threads
-
-            cap = recommended_blas_threads(self._ranks)
+            cap = auto_blas_cap(self._ranks)
         with _cache_scope(self._master_cache):
-            if cap and cap > 0:
-                from .blasctl import blas_thread_limit
-
+            if cap > 0:
                 with blas_thread_limit(cap):
                     return fn(self._master_comm)
             return fn(self._master_comm)
@@ -1091,8 +1134,8 @@ class WorkerPoolSession(BackendSession):
                 raise WorkerDeadError(
                     rank,
                     f"pid {proc.pid} exited unexpectedly (exitcode "
-                    f"{proc.exitcode}); it will be respawned on the next "
-                    "dispatch",
+                    f"{proc.exitcode}); a persistent session respawns it on "
+                    "its next dispatch",
                 )
 
     def _acknowledge_dead_rank(self, rank: int) -> None:
@@ -1178,7 +1221,7 @@ class WorkerPoolSession(BackendSession):
         self._procs[rank - 1] = p
         self.rank_respawns += 1
 
-    def _spawn_pool(self) -> None:
+    def _spawn_pool(self, job: SpmdFunction | None = None) -> None:
         ctx = mp.get_context("fork")
         self._generation += 1
         gen = self._generation
@@ -1201,6 +1244,7 @@ class WorkerPoolSession(BackendSession):
                     self._blas_threads,
                     parent,
                 ),
+                kwargs={"job": job},
                 name=f"spmd-pool-{self.backend_name}-{rank}",
                 daemon=True,
             )

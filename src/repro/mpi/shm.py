@@ -228,15 +228,6 @@ class ShmComm(ProcessComm):
                 still_referenced.append(segment)
         self._attached = still_referenced
 
-    def _cleanup(self) -> None:
-        """Close this rank's mappings (names were unlinked per-collective)."""
-        for segment in self._attached:
-            try:
-                segment.close()
-            except BufferError:  # a view outlived fn; the OS reclaims at exit
-                pass
-        self._attached = []
-
 
 def run_spmd_shm(
     fn: Callable[[Communicator], Any],
@@ -244,14 +235,14 @@ def run_spmd_shm(
     timeout: float = _DEFAULT_TIMEOUT,
     blas_threads: int | None = None,
 ) -> list[Any]:
-    """Run ``fn(comm)`` on ``size`` OS processes with shared-memory arrays.
+    """Run ``fn(comm)`` on ``size`` ranks with shared-memory arrays.
 
     Identical contract to :func:`~repro.mpi.processes.run_spmd_processes`
-    (fork start method, rank-ordered results, failures re-raised in the
-    caller, the same per-rank ``blas_threads`` oversubscription cap) but
-    each rank receives a :class:`ShmComm`, so ``bcast_array`` and
-    ``reduce_array`` move numpy data through shared memory instead of
-    pickled queue payloads.
+    (a one-job worker pool: rank 0 in the caller, workers forked with
+    ``fn`` in hand, rank-ordered results, the same per-rank
+    ``blas_threads`` cap) but each rank receives a :class:`ShmComm`, so
+    ``bcast_array`` and ``reduce_array`` move numpy data through shared
+    memory instead of pickled queue payloads.
     """
     return run_spmd_processes(
         fn, size, timeout=timeout, comm_cls=ShmComm, blas_threads=blas_threads

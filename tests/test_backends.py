@@ -10,13 +10,17 @@ array-aware collectives of the ``processes`` world.
 
 from __future__ import annotations
 
+import glob
+import os
+import time
+
 import numpy as np
 import pytest
 
 from repro import mt_maxT, pmaxT
 from repro.corr import cor, pcor
 from repro.data import synthetic_expression, two_class_labels
-from repro.errors import CommunicatorError, DataError
+from repro.errors import CommunicatorError, DataError, OptionError, WorkerDeadError
 from repro.mpi import (
     Backend,
     SerialComm,
@@ -190,6 +194,41 @@ class TestPcorEquivalence:
             pcor(X, backend="threads", ranks=2, comm=SerialComm())
 
 
+# One cell per backend: a bad argument must surface with its own type
+# wherever the world runs, never wrapped in a CommunicatorError.
+TYPED = [("serial", 1), ("threads", 2), ("processes", 2), ("shm", 2)]
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("backend,ranks", TYPED,
+                             ids=[b for b, _ in TYPED])
+    def test_pmaxt_bad_test_is_option_error(self, dataset, backend, ranks):
+        X, labels = dataset
+        with pytest.raises(OptionError, match="unknown test 'f2'"):
+            pmaxT(X, labels, test="f2", B=20, backend=backend, ranks=ranks)
+
+    @pytest.mark.parametrize("backend,ranks", TYPED,
+                             ids=[b for b, _ in TYPED])
+    def test_pmaxt_bad_labels_is_data_error(self, dataset, backend, ranks):
+        X, _ = dataset
+        with pytest.raises(DataError, match="does not match"):
+            pmaxT(X, [0, 1, 0], B=20, backend=backend, ranks=ranks)
+
+    @pytest.mark.parametrize("backend,ranks", TYPED,
+                             ids=[b for b, _ in TYPED])
+    def test_pcor_bad_use_is_data_error(self, dataset, backend, ranks):
+        X, _ = dataset
+        with pytest.raises(DataError, match="use must be one of"):
+            pcor(X, use="bogus", backend=backend, ranks=ranks)
+
+    @pytest.mark.parametrize("backend,ranks", TYPED,
+                             ids=[b for b, _ in TYPED])
+    def test_bad_timeout_is_option_error(self, dataset, backend, ranks):
+        X, labels = dataset
+        with pytest.raises(OptionError, match="timeout"):
+            pmaxT(X, labels, B=20, backend=backend, ranks=ranks, timeout=-1)
+
+
 # Above SHM_THRESHOLD_BYTES the broadcast takes the shared-segment route;
 # below it, the queue wire.  512 KiB of float64 forces the segment route.
 _BIG = (256, 256)
@@ -291,6 +330,26 @@ class TestShmWorld:
         run_spmd_shm(_job_shm_zero_copy, 4)
         after = set(glob.glob("/dev/shm/psm_*"))
         assert after <= before
+
+
+def _job_worker_exits(comm):
+    # Rank 1 dies without a word while rank 0 holds a shared segment
+    # open in a broadcast (the segment route on shm, the wire otherwise).
+    if comm.rank == 1:
+        os._exit(3)
+    comm.bcast_array(np.ones(_BIG) if comm.is_master else None)
+    return comm.rank
+
+
+class TestOneShotWorkerDeath:
+    @pytest.mark.parametrize("backend", ["processes", "shm"])
+    def test_dead_worker_raises_promptly_without_leaks(self, backend):
+        before = set(glob.glob("/dev/shm/psm_*"))
+        start = time.monotonic()
+        with pytest.raises(WorkerDeadError):
+            run_backend(backend, _job_worker_exits, 2)
+        assert time.monotonic() - start < 10
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
 
 
 def _times_ten(x):

@@ -14,7 +14,7 @@ from repro.mpi import (
     set_blas_threads,
 )
 from repro.mpi.backends import launch_master
-from repro.mpi.blasctl import apply_worker_cap, worker_cap_override
+from repro.mpi.blasctl import apply_worker_cap
 
 
 def _worker_budget(comm):
@@ -109,16 +109,14 @@ class TestWorkerBootstrap:
         assert get_blas_threads() == before
 
     def test_worker_exports_env_for_late_loaded_runtimes(self):
-        envs = run_spmd_processes(_worker_env, 2, blas_threads=1)
-        assert envs == ["1", "1"]
-
-    def test_worker_cap_override_restores_environment(self):
+        """Worker ranks export the cap; rank 0 is the caller and must not."""
         import os
 
-        before = os.environ.get("REPRO_BLAS_THREADS")
-        with worker_cap_override(3):
-            assert os.environ["REPRO_BLAS_THREADS"] == "3"
-        assert os.environ.get("REPRO_BLAS_THREADS") == before
+        before = os.environ.get("OPENBLAS_NUM_THREADS")
+        envs = run_spmd_processes(_worker_env, 2, blas_threads=1)
+        assert envs[1:] == ["1"]
+        assert envs[0] == before
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == before
 
 
 class TestElasticCap:
